@@ -13,19 +13,13 @@
    slower *relative to everything else*.  A uniform slowdown (slower
    runner) passes; a kernel-specific one fails.
 
-   A second family of checks never looks at the baseline at all: the
-   robust (quantitative) kernels are compared against their boolean
-   counterparts *within the current run* — both numbers come off the
-   same machine seconds apart, so the ratio is machine-independent by
-   construction.  It bounds the price of interval arithmetic: a robust
-   workload may cost at most 1.5x its boolean twin.
-
-   The same within-run construction also gates the fused evaluation
-   plan: each plan workload is compared against its per-rule twin from
-   the same file, and fails if fusing the rule set does not pay — the
-   whole point of compiling one shared DAG is to beat one-kernel-per-
-   rule, so the fused/per-rule ratio must stay at or under 1.0 (small
-   headroom via BENCH_GATE_PLAN_RATIO).
+   A second family of checks never looks at the baseline at all: a
+   workload is compared against its twin *within the current run* —
+   both numbers come off the same machine seconds apart, so the ratio is
+   machine-independent by construction.  [ratio_gates] below lists the
+   pairs: robust vs boolean kernels (the price of interval arithmetic),
+   the fused plan vs one-root plans per rule (fusing must pay), and the
+   fleet with vs without the flight recorder.
 
    Environment:
      BENCH_GATE_SKIP=1            skip the comparison (escape hatch for
@@ -36,7 +30,10 @@
      BENCH_GATE_ROBUST_RATIO=1.8  override the allowed robust/boolean
                                   ratio (default 1.5)
      BENCH_GATE_PLAN_RATIO=0.9    override the allowed fused/per-rule
-                                  ratio (default 1.0) *)
+                                  ratio (default 1.0)
+     BENCH_GATE_RECORDER_RATIO=1.2
+                                  override the allowed recorder/bare
+                                  fleet ratio (default 1.10) *)
 
 (* The benchmark files are machine-written by [write_json] in
    bench/main.ml — one fixed shape, no arrays, no nesting below two
@@ -176,34 +173,35 @@ let gated =
     "cps_monitor/fleet/ingest_1k_sessions";
     "cps_monitor/fleet/ingest_1k_sessions_recorder" ]
 
-(* (robust workload, boolean counterpart) pairs ratio-gated within the
-   current file.  Pairs whose members were not measured (quick mode
-   drops the 600 s traces) are skipped. *)
+(* Within-run ratio gates: (workload, twin, env override, default limit,
+   label).  Each workload may cost at most [limit] times its twin from
+   the same file; pairs whose members were not measured (quick mode
+   drops the 600 s traces) are skipped.
+
+   - robust vs boolean: interval arithmetic may cost at most 1.5x the
+     verdict lattice;
+   - fused plan vs per-rule: the fused traversal must not cost more than
+     running the rules one at a time, or the plan has no point;
+   - recorder on vs off: the flight recorder's ring pushes and tick
+     digests may cost at most 10% of the bare fleet lifecycle. *)
 let ratio_gates =
-  [ ("cps_monitor/mtl/offline_robust_60s",
-     "cps_monitor/mtl/offline_long_trace_60s");
-    ("cps_monitor/mtl/online_robust_60s",
-     "cps_monitor/mtl/online_long_trace_60s");
-    ("cps_monitor/mtl/offline_robust_600s",
-     "cps_monitor/mtl/offline_long_trace_600s");
-    ("cps_monitor/mtl/online_robust_600s",
-     "cps_monitor/mtl/online_long_trace_600s") ]
-
-(* (fused plan workload, per-rule counterpart) pairs, also ratio-gated
-   within the current file: the fused traversal must not cost more than
-   running the kernels one rule at a time, or the plan has no point. *)
-let plan_gates =
-  [ ("cps_monitor/plan/set_all_7_rules",
-     "cps_monitor/monitor/offline_all_7_rules");
-    ("cps_monitor/plan/set_all_7_rules_online",
-     "cps_monitor/monitor/set_all_7_rules_online") ]
-
-(* (recorder-on workload, recorder-off counterpart): the flight recorder
-   must stay a cheap always-on facility — its ring pushes and tick
-   digests may cost at most 10% of the bare fleet lifecycle. *)
-let recorder_gates =
-  [ ("cps_monitor/fleet/ingest_1k_sessions_recorder",
-     "cps_monitor/fleet/ingest_1k_sessions") ]
+  let robust w b =
+    ( "cps_monitor/mtl/" ^ w, "cps_monitor/mtl/" ^ b,
+      "BENCH_GATE_ROBUST_RATIO", 1.5, "of boolean    " )
+  in
+  [ robust "offline_robust_60s" "offline_long_trace_60s";
+    robust "online_robust_60s" "online_long_trace_60s";
+    robust "offline_robust_600s" "offline_long_trace_600s";
+    robust "online_robust_600s" "online_long_trace_600s";
+    ( "cps_monitor/plan/set_all_7_rules",
+      "cps_monitor/monitor/offline_all_7_rules",
+      "BENCH_GATE_PLAN_RATIO", 1.0, "of per-rule   " );
+    ( "cps_monitor/plan/set_all_7_rules_online",
+      "cps_monitor/monitor/set_all_7_rules_online",
+      "BENCH_GATE_PLAN_RATIO", 1.0, "of per-rule   " );
+    ( "cps_monitor/fleet/ingest_1k_sessions_recorder",
+      "cps_monitor/fleet/ingest_1k_sessions",
+      "BENCH_GATE_RECORDER_RATIO", 1.10, "of bare fleet " ) ]
 
 let median a =
   let a = Array.copy a in
@@ -278,75 +276,28 @@ let () =
     prerr_endline "bench gate: none of the gated workloads were measured";
     exit 2
   end;
-  let robust_limit =
-    match Sys.getenv_opt "BENCH_GATE_ROBUST_RATIO" with
-    | None -> 1.5
+  let limit_of env default =
+    match Sys.getenv_opt env with
+    | None -> default
     | Some s -> (
       match float_of_string_opt s with
       | Some r when r > 0.0 -> r
       | _ ->
-        prerr_endline "bench gate: BENCH_GATE_ROBUST_RATIO must be a number";
+        Printf.eprintf "bench gate: %s must be a number\n" env;
         exit 2)
   in
   List.iter
-    (fun (robust_name, boolean_name) ->
-      match
-        (List.assoc_opt robust_name current, List.assoc_opt boolean_name current)
-      with
-      | Some robust, Some boolean when boolean > 0.0 ->
-        let ratio = robust /. boolean in
-        let verdict = if ratio > robust_limit then "FAIL" else "ok" in
-        if ratio > robust_limit then failed := robust_name :: !failed;
-        Printf.printf "  %-4s %6.2fx of boolean     %s (limit %.2fx)\n" verdict
-          ratio robust_name robust_limit
-      | _ -> Printf.printf "  -         (pair not measured)  %s\n" robust_name)
+    (fun (name, twin, env, default, label) ->
+      let limit = limit_of env default in
+      match (List.assoc_opt name current, List.assoc_opt twin current) with
+      | Some cur, Some base when base > 0.0 ->
+        let ratio = cur /. base in
+        let verdict = if ratio > limit then "FAIL" else "ok" in
+        if ratio > limit then failed := name :: !failed;
+        Printf.printf "  %-4s %6.2fx %s %s (limit %.2fx)\n" verdict ratio label
+          name limit
+      | _ -> Printf.printf "  -         (pair not measured)  %s\n" name)
     ratio_gates;
-  let plan_limit =
-    match Sys.getenv_opt "BENCH_GATE_PLAN_RATIO" with
-    | None -> 1.0
-    | Some s -> (
-      match float_of_string_opt s with
-      | Some r when r > 0.0 -> r
-      | _ ->
-        prerr_endline "bench gate: BENCH_GATE_PLAN_RATIO must be a number";
-        exit 2)
-  in
-  List.iter
-    (fun (fused_name, per_rule_name) ->
-      match
-        (List.assoc_opt fused_name current, List.assoc_opt per_rule_name current)
-      with
-      | Some fused, Some per_rule when per_rule > 0.0 ->
-        let ratio = fused /. per_rule in
-        let verdict = if ratio > plan_limit then "FAIL" else "ok" in
-        if ratio > plan_limit then failed := fused_name :: !failed;
-        Printf.printf "  %-4s %6.2fx of per-rule    %s (limit %.2fx)\n" verdict
-          ratio fused_name plan_limit
-      | _ -> Printf.printf "  -         (pair not measured)  %s\n" fused_name)
-    plan_gates;
-  let recorder_limit =
-    match Sys.getenv_opt "BENCH_GATE_RECORDER_RATIO" with
-    | None -> 1.10
-    | Some s -> (
-      match float_of_string_opt s with
-      | Some r when r > 0.0 -> r
-      | _ ->
-        prerr_endline "bench gate: BENCH_GATE_RECORDER_RATIO must be a number";
-        exit 2)
-  in
-  List.iter
-    (fun (recorder_name, bare_name) ->
-      match
-        (List.assoc_opt recorder_name current, List.assoc_opt bare_name current)
-      with
-      | Some recorder, Some bare when bare > 0.0 ->
-        let ratio = recorder /. bare in
-        let verdict = if ratio > recorder_limit then "FAIL" else "ok" in
-        if ratio > recorder_limit then failed := recorder_name :: !failed;
-        Printf.printf "  %-4s %6.2fx of bare fleet  %s (limit %.2fx)\n" verdict
-          ratio recorder_name recorder_limit
-      | _ -> Printf.printf "  -         (pair not measured)  %s\n" recorder_name)
-    recorder_gates;
   if !failed <> [] then begin
     Printf.eprintf
       "bench gate: %d workload(s) regressed beyond the machine speed factor \

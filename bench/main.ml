@@ -169,9 +169,8 @@ let offline_naive_all_rules snaps =
 
 (* The streaming path: [step_resolved] hands back a batch count, not an
    allocated list, so this times the zero-allocation deployed shape.
-   Snapshot-major order with a shared signal environment, exactly as
-   [Monitor_set] runs a rule set over a live stream: the per-tick signal
-   refresh is paid once, not once per rule. *)
+   Snapshot-major order with a shared signal environment: the per-tick
+   signal refresh is paid once, not once per rule. *)
 let online_all_rules snaps =
   let shared = Mtl.Online.shared_for Rules.all in
   let monitors =
@@ -284,16 +283,16 @@ let fleet_frames =
          let t = float_of_int i *. 0.01 in
          (t, synthetic_signals t)))
 
+let fleet_vins = Array.init 1000 (Printf.sprintf "VIN%04d")
+
 let run_fleet_ingest config =
   let module Fleet = Monitor_fleet.Fleet in
   let fleet = Fleet.create config in
   List.iter
     (fun (time, updates) ->
-      for i = 0 to 999 do
-        ignore
-          (Fleet.ingest fleet
-             { Fleet.vin = Printf.sprintf "VIN%04d" i; time; updates })
-      done;
+      Array.iter
+        (fun vin -> ignore (Fleet.ingest fleet { Fleet.vin; time; updates }))
+        fleet_vins;
       Fleet.pump fleet)
     (Lazy.force fleet_frames);
   ignore (Fleet.shutdown fleet)
@@ -363,14 +362,20 @@ let bench_simplify =
   Test.make ~name:"spec/simplify"
     (Staged.stage (fun () -> Mtl.Rewrite.simplify formula))
 
-let bench_monitor_set =
+(* Seven one-root monitors over one shared signal environment: the
+   per-rule twin of plan/set_all_7_rules_online. *)
+let bench_set_online =
   Test.make ~name:"monitor/set_all_7_rules_online"
     (Staged.stage (fun () ->
-         let set = Mtl.Monitor_set.create Rules.all in
+         let shared = Mtl.Online.shared_for Rules.all in
+         let monitors = List.map (Mtl.Online.create ~shared) Rules.all in
          List.iter
-           (fun snap -> ignore (Mtl.Monitor_set.step set snap))
+           (fun snap ->
+             List.iter
+               (fun m -> ignore (Mtl.Online.step_resolved m snap))
+               monitors)
            (Lazy.force short_snapshots);
-         Mtl.Monitor_set.finalize set))
+         List.iter (fun m -> ignore (Mtl.Online.finalize_resolved m)) monitors))
 
 (* The fused counterparts of the seven-rule set: the rules hash-consed
    into one shared-DAG plan ([Mtl.Plan]), then every rule evaluated by a
@@ -663,7 +668,7 @@ let () =
       bench_lossy_bus_run; bench_multirate; bench_warmup; bench_offline_rule 0;
       bench_offline_rule 1; bench_offline_rule 4; bench_online_rule 1;
       bench_online_rule 5; bench_all_rules_offline; bench_parser;
-      bench_simplify; bench_monitor_set; bench_plan_set_offline;
+      bench_simplify; bench_set_online; bench_plan_set_offline;
       bench_plan_set_online; bench_ablation_hold;
       bench_snapshots; bench_can_roundtrip; bench_frame_bit_count;
       bench_plant_step; bench_controller_step; bench_obs_overhead_off;

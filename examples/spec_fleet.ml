@@ -1,6 +1,7 @@
 (* The deployed shape of the bolt-on box: rules loaded from a versioned
-   .spec file, all of them run side by side by a Monitor_set over one
-   snapshot stream, violations surfacing through a live callback.
+   .spec file, compiled into one plan and run side by side by a fused
+   online monitor over one snapshot stream, violations surfacing through
+   a live callback.
 
    Run with: dune exec examples/spec_fleet.exe *)
 
@@ -33,33 +34,35 @@ let () =
   Printf.printf "loaded %d specs from the file\n\n" (List.length specs);
 
   (* A faulted HIL capture to monitor. *)
-  let plan =
+  let faults =
     [ (2.0, Sim.Set ("Velocity", Monitor_signal.Value.Float (-400.0)));
       (10.0, Sim.Clear_all) ]
   in
   let result =
-    Sim.run ~plan
+    Sim.run ~plan:faults
       (Sim.default_config (Scenario.steady_follow ~duration:16.0 ()))
   in
 
-  let first_alarm = Hashtbl.create 4 in
-  let set =
-    Mtl.Monitor_set.create
-      ~on_violation:(fun e ->
-        let name = e.Mtl.Monitor_set.spec.Mtl.Spec.name in
-        if not (Hashtbl.mem first_alarm name) then begin
-          Hashtbl.add first_alarm name ();
-          Printf.printf "ALARM %-20s first violation about t=%.2fs\n" name
-            e.Mtl.Monitor_set.resolution.Mtl.Online.time
-        end)
-      specs
+  let names = Array.of_list (List.map (fun s -> s.Mtl.Spec.name) specs) in
+  let violations = Array.make (Array.length names) 0 in
+  let on_verdict rule _tick time verdict =
+    if Mtl.Verdict.equal verdict Mtl.Verdict.False then begin
+      if violations.(rule) = 0 then
+        Printf.printf "ALARM %-20s first violation about t=%.2fs\n"
+          names.(rule) time;
+      violations.(rule) <- violations.(rule) + 1
+    end
   in
+  let monitor = Mtl.Online.Fused.create (Mtl.Plan.compile specs) in
   let snapshots =
     Monitor_oracle.Oracle.snapshots_of_trace result.Sim.trace
   in
-  List.iter (fun snap -> ignore (Mtl.Monitor_set.step set snap)) snapshots;
-  ignore (Mtl.Monitor_set.finalize set);
-  print_newline ();
   List.iter
-    (fun (name, count) -> Printf.printf "%-20s %d violating ticks\n" name count)
-    (Mtl.Monitor_set.violations set)
+    (fun snap -> Mtl.Online.Fused.step_iter monitor snap on_verdict)
+    snapshots;
+  Mtl.Online.Fused.finalize_iter monitor on_verdict;
+  print_newline ();
+  Array.iteri
+    (fun rule name ->
+      Printf.printf "%-20s %d violating ticks\n" name violations.(rule))
+    names

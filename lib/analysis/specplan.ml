@@ -10,9 +10,9 @@
    buffered ticks, and what each rule costs tree-walked versus fused.
 
    Everything here is report-only.  The executors run the raw plan —
-   byte-identity with the per-rule kernels is argued structurally and
-   checked differentially — so a wrong fact here can mislabel a listing
-   but can never corrupt a verdict. *)
+   their agreement with the naive references is checked differentially
+   — so a wrong fact here can mislabel a listing but can never corrupt a
+   verdict. *)
 
 module Formula = Monitor_mtl.Formula
 module Spec = Monitor_mtl.Spec
@@ -117,8 +117,9 @@ let analyze ?env:(lenv = Speclint.env ()) (specs : Spec.t list) =
   in
   Array.iter mark plan.Plan.roots;
   let cost = Array.map node_cost plan.Plan.nodes in
-  (* Tree cost: what a per-rule kernel pays — every consuming edge
-     re-walks the subtree.  Memoizable because the DAG is acyclic. *)
+  (* Tree cost: what walking each rule as its own tree pays — every
+     consuming edge re-walks the subtree.  Memoizable because the DAG is
+     acyclic. *)
   let tree_cost = Array.make nnodes 0 in
   Array.iteri
     (fun id (n : Plan.node) ->

@@ -11,8 +11,8 @@
       dead (a decided sibling short-circuits the connective);
     - per-node signal dependency sets and window extents (horizon and
       history depth), hence each rule's decision latency;
-    - a per-rule cost comparison — tree-walked (what the per-rule
-      kernels pay) versus fused (distinct DAG nodes);
+    - a per-rule cost comparison — tree-walked (every consuming edge
+      re-walks its subtree) versus fused (distinct DAG nodes);
     - cross-rule duplicate and subsumption pairs
       ({!Speclint.overlap_pairs}).
 

@@ -26,8 +26,32 @@ let save ?interface path frames =
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc (to_string ?interface frames))
 
+let is_hex = function '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true | _ -> false
+
+let is_digit c = c >= '0' && c <= '9'
+
+(* A plain decimal as candump prints it, [-]digits[.digits], and finite.
+   [float_of_string] alone would also take OCaml literal syntax ("1_0.5",
+   "0x1p3"), "inf" and "nan" — and one infinite timestamp makes the
+   snapshot cut run forever. *)
+let parse_time s =
+  let n = String.length s in
+  let start = if n > 0 && s.[0] = '-' then 1 else 0 in
+  let digits = ref 0 and dots = ref 0 and other = ref false in
+  for i = start to n - 1 do
+    if is_digit s.[i] then incr digits
+    else if s.[i] = '.' then incr dots
+    else other := true
+  done;
+  if !other || !digits = 0 || !dots > 1 then None
+  else
+    match float_of_string_opt s with
+    | Some t as time when Float.is_finite t -> time
+    | Some _ | None -> None
+
 let bytes_of_hex s =
   if String.length s mod 2 <> 0 then Error "odd hex payload length"
+  else if not (String.for_all is_hex s) then Error "bad hex digit in payload"
   else begin
     let n = String.length s / 2 in
     let data = Bytes.create n in
@@ -51,10 +75,8 @@ let parse_line line =
     in
     if not time_ok then fail "malformed timestamp"
     else begin
-      match
-        float_of_string_opt
-          (String.sub time_field 1 (String.length time_field - 2))
-      with
+      let text = String.sub time_field 1 (String.length time_field - 2) in
+      match parse_time text with
       | None -> fail "bad timestamp"
       | Some time -> begin
         match String.index_opt frame_field '#' with
@@ -65,7 +87,11 @@ let parse_line line =
             String.sub frame_field (hash + 1)
               (String.length frame_field - hash - 1)
           in
-          match int_of_string_opt ("0x" ^ id_text) with
+          match
+            if id_text <> "" && String.for_all is_hex id_text then
+              int_of_string_opt ("0x" ^ id_text)
+            else None
+          with
           | None -> fail "bad identifier"
           | Some id -> begin
             let format =

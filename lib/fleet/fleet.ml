@@ -94,13 +94,13 @@ let verdict_line name tick time v =
    driver reports each rule's batch in rule order, exactly as the old
    per-rule loop did, and each batch is byte-identical to a dedicated
    monitor's — so session digests are unchanged (the chaos-smoke CI gate
-   checks this against the per-rule [isolated_stream] replay). *)
+   checks this against the one-root-plan [isolated_stream] replay). *)
 type incarnation = {
   feed : Feed.t;
   fused : Online.Fused.t;
-  rmonitors : Monitor_mtl.Robust.Online.t array;
-      (* quantitative twins of the fused rules, same shared signal
-         layout; empty unless [robust_gauges] *)
+  rfused : Monitor_mtl.Robust.Online.Fused.t option;
+      (* the quantitative twin over the same plan and shared signal
+         layout; [robust_gauges] only *)
 }
 
 type session_state =
@@ -323,12 +323,10 @@ let new_incarnation t =
   let shared = Online.shared_for t.wrapped_list in
   { feed = Feed.create ~staleness:t.staleness ~period:t.cfg.period ();
     fused = Online.Fused.create ~shared t.plan;
-    rmonitors =
+    rfused =
       (if t.cfg.robust_gauges then
-         Array.map
-           (fun spec -> Monitor_mtl.Robust.Online.create ~shared spec)
-           t.wrapped
-       else [||]) }
+         Some (Monitor_mtl.Robust.Online.Fused.create ~shared t.plan)
+       else None) }
 
 let new_session t vin =
   { vin;
@@ -361,7 +359,9 @@ let find_session t (shard : shard) vin =
 (* First False per rule per session: freeze the flight-recorder ring into
    a post-mortem bundle, with the rule's subformula tree rebuilt from the
    recorded slice.  Runs on the shard worker that owns the session, so no
-   two writers share a bundle directory. *)
+   two writers share a bundle directory.  A failed write is counted by
+   the recorder and otherwise ignored: diagnostics never touch the
+   session. *)
 let bundle_violation t s j ~tick ~time =
   match s.recorder with
   | Some r when not (List.mem j s.bundled_rules) ->
@@ -416,12 +416,12 @@ let step t (sh : shard) s inc snap =
   (* Live robustness: fold each rule's resolved upper bounds into the
      shard's running minimum — how close the fleet has provably come to
      violating each rule, one float per rule, no per-tick storage. *)
-  Array.iteri
-    (fun j rm ->
-      Monitor_mtl.Robust.Online.step_iter rm snap (fun _rt _time _lo hi ->
-          if hi < sh.r_min.(j) then sh.r_min.(j) <- hi;
-          if hi < s.min_rob then s.min_rob <- hi))
-    inc.rmonitors;
+  (match inc.rfused with
+  | Some rm ->
+    Monitor_mtl.Robust.Online.Fused.step_iter rm snap (fun j _rt _time _lo hi ->
+        if hi < sh.r_min.(j) then sh.r_min.(j) <- hi;
+        if hi < s.min_rob then s.min_rob <- hi)
+  | None -> ());
   match s.recorder with
   | Some r ->
     Recorder.record_tick r ~tick ~time:snap.Trace.Snapshot.time
@@ -431,14 +431,11 @@ let step t (sh : shard) s inc snap =
 let finalize_incarnation t (sh : shard) s inc =
   Online.Fused.finalize_iter inc.fused (fun j tick time v ->
       record t s j tick time v);
-  Array.iteri
-    (fun j rm ->
-      let n = Monitor_mtl.Robust.Online.finalize_resolved rm in
-      for i = 0 to n - 1 do
-        let hi = Monitor_mtl.Robust.Online.resolved_hi rm i in
-        if hi < sh.r_min.(j) then sh.r_min.(j) <- hi
-      done)
-    inc.rmonitors
+  match inc.rfused with
+  | Some rm ->
+    Monitor_mtl.Robust.Online.Fused.finalize_iter rm (fun j _tick _time _lo hi ->
+        if hi < sh.r_min.(j) then sh.r_min.(j) <- hi)
+  | None -> ()
 
 (* Quarantine a crashed session, mirroring Campaign.guarded's Errored
    rows: capture what, where and how often, then either schedule a
@@ -626,8 +623,10 @@ let render_status t =
         (match backoff with Some u -> json_float u | None -> "null");
       (match s.recorder with
       | Some r ->
-        Printf.bprintf b ",\"recorder_frames\":%d,\"bundles\":%d"
+        Printf.bprintf b
+          ",\"recorder_frames\":%d,\"bundles\":%d,\"bundle_errors\":%d"
           (Recorder.frames r) (Recorder.bundles_written r)
+          (Recorder.bundle_errors r)
       | None -> ());
       Buffer.add_char b '}')
     rows;
@@ -956,10 +955,10 @@ let isolated_stream ?(period = 0.01) ?(watchdog_k = 3.0) ?stale_hold
   let snaps = Trace.Multirate.snapshots ~staleness trace ~period in
   let wrapped = List.map (Spec.stale_guarded ?hold:stale_hold) specs in
   let shared = Online.shared_for wrapped in
-  (* Deliberately per-rule monitors, NOT the fused plan the live sessions
-     run: a [--verify] digest comparison against this replay is then an
-     end-to-end differential check of the fused driver, not a replay of
-     the same code path. *)
+  (* Deliberately one one-root plan per rule, NOT the shared plan the live
+     sessions run: a [--verify] digest comparison against this replay is
+     then an end-to-end check that sharing subterms across rules changes
+     no verdict and no resolution tick. *)
   let monitors = Array.of_list (List.map (Online.create ~shared) wrapped) in
   let names =
     Array.of_list (List.map (fun (s : Spec.t) -> s.Spec.name) wrapped)

@@ -99,9 +99,10 @@ type config = {
       (** keep each session's rendered verdict stream (memory ∝ ticks);
           the running digest is maintained regardless *)
   robust_gauges : bool;
-      (** additionally run each session's rules on the quantitative
-          kernel ({!Monitor_mtl.Robust.Online}, same shared signal
-          layout) and keep a fleet-wide per-rule minimum of the resolved
+      (** additionally run each session's rules through one fused
+          quantitative monitor ({!Monitor_mtl.Robust.Online.Fused}, same
+          plan and shared signal layout) and keep a fleet-wide per-rule
+          minimum of the resolved
           robustness upper bounds — published as the
           [cps_fleet_min_robustness{rule}] gauge and readable via
           {!min_robustness}.  One float per rule per shard; verdict
@@ -117,7 +118,10 @@ type config = {
   recorder : Recorder.config option;
       (** give every session a {!Recorder} flight ring; rule violations
           and quarantines then write post-mortem bundles under the
-          config's directory ([None]: no recording, no bundles) *)
+          config's directory ([None]: no recording, no bundles).  A
+          bundle that fails to write is counted
+          ([cps_postmortem_errors_total], [bundle_errors] in
+          {!published_status}) and changes no verdict or disposition. *)
 }
 
 val default_config : specs:Spec.t list -> config
@@ -177,7 +181,8 @@ val live_sessions : t -> int
 val published_status : t -> string
 (** The latest /sessions JSON document: per-VIN state (verdict counts,
     availability, min robustness, restarts, quarantine backoff deadline,
-    recorder occupancy and bundles written), per-shard queue depth and
+    recorder occupancy, bundles written and bundle write errors),
+    per-shard queue depth and
     high-water, and fleet totals.  Rebuilt by the producer domain at
     every {!pump}/{!advance}/{!shutdown} when the config set
     [publish_status], and published through an atomic cell — safe to
@@ -265,7 +270,9 @@ val isolated_stream :
     one vehicle's observations — computed over the {e offline}
     {!Monitor_trace.Multirate.snapshots} path rather than the feed, so
     fleet-vs-isolated equality is a genuine differential test of the
-    incremental snapshot construction.  Defaults match
+    incremental snapshot construction, and each rule runs as its own
+    one-root plan, so equality also checks that sharing subterms across
+    rules changes nothing.  Defaults match
     {!default_config}.  A [Served] session with [s_restarts = 0] fed the
     same [(time, updates)] list (in order, nothing shed) has exactly
     this stream and digest. *)

@@ -18,13 +18,19 @@ type t = {
   ring : entry Queue.t;
   digests : (int * float * int) Queue.t;  (* (tick, time, digest) *)
   mutable written : int;
+  mutable errors : int;
 }
+
+let m_errors =
+  Monitor_obs.Obs.counter ~help:"Post-mortem bundles that failed to write"
+    "cps_postmortem_errors_total"
 
 let create cfg =
   if cfg.window <= 0.0 then invalid_arg "Recorder.create: window <= 0";
   if cfg.max_frames < 1 then invalid_arg "Recorder.create: max_frames < 1";
   if cfg.bundle_limit < 0 then invalid_arg "Recorder.create: bundle_limit < 0";
-  { cfg; ring = Queue.create (); digests = Queue.create (); written = 0 }
+  { cfg; ring = Queue.create (); digests = Queue.create (); written = 0;
+    errors = 0 }
 
 (* Evict by count first (hard memory bound), then by age; both are
    amortised O(1) per recorded item. *)
@@ -53,6 +59,7 @@ let record_tick t ~tick ~time ~digest =
 
 let frames t = Queue.length t.ring
 let bundles_written t = t.written
+let bundle_errors t = t.errors
 
 let slice t =
   let tr = Trace.Trace.create () in
@@ -73,12 +80,24 @@ let sanitize s =
       | _ -> '_')
     s
 
+(* Sessions on different shards share [config.dir], so a concurrent
+   creation of the same directory is not an error. *)
 let rec mkdir_p dir =
   if not (Sys.file_exists dir) then begin
     let parent = Filename.dirname dir in
     if parent <> dir then mkdir_p parent;
-    try Sys.mkdir dir 0o755 with Sys_error _ -> ()
+    try Sys.mkdir dir 0o755 with Sys_error _ when Sys.file_exists dir -> ()
   end
+
+let rec remove_tree path =
+  if Sys.file_exists path then
+    if Sys.is_directory path then begin
+      Array.iter
+        (fun f -> remove_tree (Filename.concat path f))
+        (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
 
 let write_file path contents =
   let oc = open_out_bin path in
@@ -103,19 +122,17 @@ let manifest_json ~vin ~seed ~reason ~tick ~time ~digest ~slice_frames
     (match reason with `Violation _ -> "rule" | `Crash _ -> "exn")
     (esc what) tick time digest slice_frames slice_start slice_stop
 
-let bundle t ~vin ~seed ~reason ~tick ~time ~digest ~explain =
-  if t.written >= t.cfg.bundle_limit then None
-  else begin
-    t.written <- t.written + 1;
-    let leaf =
-      match reason with
-      | `Violation rule ->
-        Printf.sprintf "%s-t%d-violation-%s" (sanitize vin) tick
-          (sanitize rule)
-      | `Crash _ -> Printf.sprintf "%s-t%d-crash" (sanitize vin) tick
-    in
-    let dir = Filename.concat t.cfg.dir leaf in
-    mkdir_p dir;
+(* The bundle is assembled under a hidden temporary name and renamed
+   into place, so a reader never sees half a bundle; any failure removes
+   the partial copy and is returned, never raised — a full disk or an
+   unwritable directory must not reach the session that asked. *)
+let write_bundle t ~leaf ~vin ~seed ~reason ~tick ~time ~digest ~explain =
+  let dir = Filename.concat t.cfg.dir leaf in
+  let tmp = Filename.concat t.cfg.dir ("." ^ leaf ^ ".tmp") in
+  try
+    mkdir_p t.cfg.dir;
+    remove_tree tmp;
+    Sys.mkdir tmp 0o755;
     let tr = slice t in
     let n = Trace.Trace.length tr in
     let slice_start, slice_stop =
@@ -125,16 +142,42 @@ let bundle t ~vin ~seed ~reason ~tick ~time ~digest ~explain =
         (first.at, last)
       | None -> (time, time)
     in
-    Trace.Csv.save (Filename.concat dir "slice.csv") tr;
+    Trace.Csv.save (Filename.concat tmp "slice.csv") tr;
     (match explain with
-    | Some text -> write_file (Filename.concat dir "explain.txt") text
+    | Some text -> write_file (Filename.concat tmp "explain.txt") text
     | None -> ());
     write_file
-      (Filename.concat dir "metrics.prom")
+      (Filename.concat tmp "metrics.prom")
       (Monitor_obs.Metrics.render_prometheus Monitor_obs.Obs.registry);
     write_file
-      (Filename.concat dir "MANIFEST.json")
+      (Filename.concat tmp "MANIFEST.json")
       (manifest_json ~vin ~seed ~reason ~tick ~time ~digest ~slice_frames:n
          ~slice_start ~slice_stop);
-    Some dir
+    remove_tree dir;
+    Sys.rename tmp dir;
+    Ok dir
+  with Sys_error msg ->
+    (try remove_tree tmp with Sys_error _ -> ());
+    Error msg
+
+let bundle t ~vin ~seed ~reason ~tick ~time ~digest ~explain =
+  if t.written + t.errors >= t.cfg.bundle_limit then Ok None
+  else begin
+    let leaf =
+      match reason with
+      | `Violation rule ->
+        Printf.sprintf "%s-t%d-violation-%s" (sanitize vin) tick
+          (sanitize rule)
+      | `Crash _ -> Printf.sprintf "%s-t%d-crash" (sanitize vin) tick
+    in
+    match
+      write_bundle t ~leaf ~vin ~seed ~reason ~tick ~time ~digest ~explain
+    with
+    | Ok dir ->
+      t.written <- t.written + 1;
+      Ok (Some dir)
+    | Error msg ->
+      t.errors <- t.errors + 1;
+      Monitor_obs.Obs.incr m_errors;
+      Error msg
   end

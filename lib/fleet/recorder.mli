@@ -57,6 +57,11 @@ val frames : t -> int
 (** Current ring occupancy, for tests and the status endpoint. *)
 
 val bundles_written : t -> int
+(** Bundles actually on disk. *)
+
+val bundle_errors : t -> int
+(** Bundles that failed to write (also counted process-wide in
+    [cps_postmortem_errors_total]). *)
 
 (** {1 Post-mortem} *)
 
@@ -73,9 +78,12 @@ val bundle :
   time:float ->
   digest:int ->
   explain:string option ->
-  string option
-(** Write one post-mortem bundle directory under [config.dir] and return
-    its path, or [None] once the session's [bundle_limit] is spent.  The
+  (string option, string) result
+(** Write one post-mortem bundle directory under [config.dir]: [Ok (Some
+    path)] once written, [Ok None] once the session's [bundle_limit] is
+    spent (failed attempts count against it), [Error msg] when the
+    filesystem refused — never an exception, so a full disk or an
+    unwritable directory cannot reach the session.  The
     directory is named [<vin>-t<tick>-<violation-<rule>|crash>]
     (sanitised) and holds:
 
@@ -88,6 +96,7 @@ val bundle :
     - [MANIFEST.json] — vin, derived seed, reason, tick, time, verdict
       digest, slice extent, and the replay command.
 
-    Directories (including [config.dir]) are created as needed; an
-    existing bundle directory of the same name is overwritten file by
-    file. *)
+    Directories (including [config.dir]) are created as needed.  The
+    bundle is assembled under a hidden temporary name and renamed into
+    place, replacing an existing bundle of the same name, so a reader
+    never sees half a bundle; a failed write leaves nothing behind. *)

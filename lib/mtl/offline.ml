@@ -57,10 +57,10 @@ let eval_leaf formula snaps mode_lookup_at =
   done;
   out
 
-(* Evaluate a formula to its whole-log verdict array.  The boolean layer is
-   shared by both evaluators; [leaf] supplies the immediate-fragment
-   evaluation and [scan] the sliding-window kernel — the two layers the
-   fast path and the naive reference implement differently. *)
+(* The naive reference's formula walk: evaluate a formula to its
+   whole-log verdict array, [leaf] supplying the immediate fragment and
+   [scan] the window rescan.  The production path evaluates plans
+   instead (see [eval_plan] below). *)
 let eval_formula ~leaf ~scan times =
   let rec eval_f (f : Formula.t) =
     match f with
@@ -193,58 +193,144 @@ let window_scan times child ~lo_off ~hi_off ~sem =
   end;
   out
 
-(* Fast evaluation: columnar leaves + sliding-window kernels.  [cols] must
-   be the columnar view of [snaps]; callers evaluating many rules over one
-   trace build it once and share it.  Machines still step tick by tick over
-   the snapshots — their guards are stateful — but everything else reads
-   the columns. *)
 module Obs = Monitor_obs.Obs
 
-let m_ticks_offline =
-  Obs.counter ~labels:[ ("kernel", "offline") ]
+let m_ticks_fused =
+  Obs.counter ~labels:[ ("kernel", "offline_fused") ]
     ~help:"Ticks evaluated, per kernel" "cps_kernel_ticks_total"
 
 let m_ticks_naive =
   Obs.counter ~labels:[ ("kernel", "naive") ]
     ~help:"Ticks evaluated, per kernel" "cps_kernel_ticks_total"
 
-let m_eval_seconds_offline =
-  Obs.histogram ~labels:[ ("kernel", "offline") ]
-    ~help:"Whole-trace evaluation time of one rule, per kernel"
-    "cps_kernel_eval_seconds"
+let mask_scan times verdicts ~hold =
+  window_scan times verdicts ~lo_off:(-.hold) ~hi_off:0.0 ~sem:Window.Mask
 
-let eval_columns (spec : Spec.t) snaps cols =
-  Obs.with_span ~cat:"kernel" ~args:[ ("rule", spec.Spec.name) ] "offline.eval"
+(* Columnar plan execution ---------------------------------------------------
+
+   One pass over a plan's topologically ordered node array evaluates
+   every rule against one trace traversal, each shared node's column
+   computed once.  Machines still step per rule, tick by tick over the
+   snapshots — their guards are stateful and they are per-spec state —
+   but everything else reads the columns. *)
+
+let no_modes _ = None
+
+let mode_arr_of names modes machine =
+  let m = Array.length names in
+  let rec find j =
+    if j >= m then None
+    else if String.equal names.(j) machine then Some modes.(j)
+    else find (j + 1)
+  in
+  find 0
+
+(* Per rule, [(names, modes)] from [run_machines]. *)
+let plan_machines (plan : Plan.t) snaps =
+  Array.map (fun spec -> run_machines spec snaps) plan.Plan.specs
+
+(* The [mode_arr] a node's atoms evaluate under: its owning rule's
+   machines, none for shareable nodes. *)
+let node_modes machines (node : Plan.node) =
+  if node.Plan.owner < 0 then no_modes
+  else
+    let names, modes = machines.(node.Plan.owner) in
+    mode_arr_of names modes
+
+(* The verdict column of one plan node, from its children's columns
+   [col c].  [own c] holds when this node is child [c]'s only consumer:
+   the child's column is then overwritten in place instead of copied,
+   as [eval_formula] above does with its uniquely owned subformula
+   arrays.  Windows always write a fresh column. *)
+let plan_node_verdicts ~col ~own ~mode_arr times cols (node : Plan.node) =
+  let n = cols.Monitor_trace.Columns.n in
+  let fresh () = Array.make n Verdict.Unknown in
+  match node.Plan.shape with
+  | Plan.Atom -> Immediate.eval_trace_exn node.Plan.form ~mode_arr cols
+  | Plan.Not c ->
+    let v = col c in
+    let o = if own c then v else fresh () in
+    for k = 0 to n - 1 do
+      o.(k) <- Verdict.not_ v.(k)
+    done;
+    o
+  | Plan.And (a, b) ->
+    let va = col a and vb = col b in
+    let o = if own a then va else if own b then vb else fresh () in
+    for k = 0 to n - 1 do
+      o.(k) <- Verdict.and_ va.(k) vb.(k)
+    done;
+    o
+  | Plan.Or (a, b) ->
+    let va = col a and vb = col b in
+    let o = if own a then va else if own b then vb else fresh () in
+    for k = 0 to n - 1 do
+      o.(k) <- Verdict.or_ va.(k) vb.(k)
+    done;
+    o
+  | Plan.Implies (a, b) ->
+    let va = col a and vb = col b in
+    let o = if own a then va else if own b then vb else fresh () in
+    for k = 0 to n - 1 do
+      o.(k) <- Verdict.implies va.(k) vb.(k)
+    done;
+    o
+  | Plan.Window { op; lo; hi; child } ->
+    let lo_off, hi_off, sem = Plan.window_offsets op ~lo ~hi in
+    window_scan times (col child) ~lo_off ~hi_off ~sem
+  | Plan.Warmup { trigger; hold; body } ->
+    (* "Trigger seen within the last [hold] seconds", truncated at the log
+       start without becoming Unknown: warm-up windows shorter than
+       [hold] simply have less to suppress. *)
+    let suppress = mask_scan times (col trigger) ~hold in
+    let vb = if own body then col body else Array.copy (col body) in
+    for k = 0 to n - 1 do
+      match suppress.(k) with
+      | Verdict.True -> vb.(k) <- Verdict.Unknown
+      | Verdict.False | Verdict.Unknown -> ()
+    done;
+    vb
+
+let eval_plan (plan : Plan.t) snaps cols =
+  Obs.with_span ~cat:"kernel"
+    ~args:[ ("rules", string_of_int (Plan.rule_count plan)) ]
+    "plan.eval"
   @@ fun () ->
-  let t_eval = Obs.time_start () in
   let alloc0 = Gc.allocated_bytes () in
   let n = cols.Monitor_trace.Columns.n in
   let times = cols.Monitor_trace.Columns.times in
   check_times times;
-  let names, modes = run_machines spec snaps in
-  let mode_arr machine =
-    let m = Array.length names in
-    let rec find j =
-      if j >= m then None
-      else if String.equal names.(j) machine then Some modes.(j)
-      else find (j + 1)
-    in
-    find 0
-  in
-  let leaf f = Immediate.eval_trace_exn f ~mode_arr cols in
-  let verdicts =
-    if n = 0 then [||]
-    else eval_formula ~leaf ~scan:window_scan times spec.Spec.formula
+  let machines = plan_machines plan snaps in
+  let nodes = plan.Plan.nodes in
+  let memo = Array.make (Array.length nodes) [||] in
+  let col c = memo.(c) and own c = nodes.(c).Plan.uses = 1 in
+  if n > 0 then
+    Array.iteri
+      (fun id node ->
+        memo.(id) <-
+          plan_node_verdicts ~col ~own ~mode_arr:(node_modes machines node)
+            times cols node)
+      nodes;
+  let outcomes =
+    Array.mapi
+      (fun r root ->
+        let names, modes = machines.(r) in
+        { times;
+          verdicts = (if n = 0 then [||] else memo.(root));
+          modes = mode_outcome names modes })
+      plan.Plan.roots
   in
   (* The expression columns and verdict arrays above are major-heap
      allocations the 5.1 pacer does not count (see Columns.of_snapshots);
      request a slice sized to what this evaluation actually allocated so
-     campaigns that evaluate rule after rule keep a flat heap. *)
+     campaigns that evaluate trace after trace keep a flat heap. *)
   let words = int_of_float ((Gc.allocated_bytes () -. alloc0) /. 8.0) in
   if words > 0 then ignore (Gc.major_slice words);
-  Obs.add m_ticks_offline n;
-  Obs.observe_since m_eval_seconds_offline t_eval;
-  { times; verdicts; modes = mode_outcome names modes }
+  Obs.add m_ticks_fused (n * Plan.rule_count plan);
+  outcomes
+
+let eval_columns spec snaps cols =
+  (eval_plan (Plan.compile [ spec ]) snaps cols).(0)
 
 let eval_array spec snaps =
   eval_columns spec snaps (Monitor_trace.Columns.of_snapshots snaps)
@@ -296,22 +382,14 @@ module Naive = struct
   let eval spec snapshots = eval_array spec (Array.of_list snapshots)
 end
 
-(* Boolean evaluation of a bare subformula, exposed for the quantitative
-   kernels in [Robust]: warm-up triggers stay boolean there (so the set of
-   suppressed ticks provably coincides with this module's), and the
-   suppression mask is the same Mask-semantics scan.  [mode_arr] /
-   [mode_lookup_at] come from [run_machines] on the enclosing spec. *)
-let eval_subformula_columns f ~mode_arr cols =
-  let leaf f = Immediate.eval_trace_exn f ~mode_arr cols in
-  eval_formula ~leaf ~scan:window_scan cols.Monitor_trace.Columns.times f
-
+(* Boolean evaluation of a bare subformula on the naive path, for
+   [Robust.Naive]'s warm-up triggers: the set of suppressed ticks then
+   provably coincides with this module's.  [mode_lookup_at] comes from
+   [run_machines] on the enclosing spec. *)
 let eval_subformula_naive f ~mode_lookup_at snaps =
   let times = Array.map (fun s -> s.Monitor_trace.Snapshot.time) snaps in
   let leaf f = eval_leaf f snaps mode_lookup_at in
   eval_formula ~leaf ~scan:Naive.window_rescan times f
-
-let mask_scan times verdicts ~hold =
-  window_scan times verdicts ~lo_off:(-.hold) ~hi_off:0.0 ~sem:Window.Mask
 
 let mask_rescan times verdicts ~hold =
   Naive.window_rescan times verdicts ~lo_off:(-.hold) ~hi_off:0.0

@@ -6,17 +6,19 @@
 
     Two kernels implement the bounded-window operators:
 
-    - {!eval}/{!eval_array} — the fast path: leaves evaluate columnar
-      against the array-backed stream ({!Monitor_trace.Columns}, no
-      per-tick snapshot lookup) and windows aggregate in amortised O(1)
-      per tick (three verdict counters slide with the window, completeness
-      bounds precomputed as index ranges).  O(n) per operator in trace
-      length, independent of window width.
+    - {!eval_plan} — the columnar plan executor, which {!eval},
+      {!eval_array} and {!eval_columns} run on a one-root plan
+      ({!Plan.compile} [[spec]]): leaves evaluate columnar against the
+      array-backed stream ({!Monitor_trace.Columns}, no per-tick
+      snapshot lookup) and windows aggregate in amortised O(1) per tick
+      (three verdict counters slide with the window, completeness bounds
+      precomputed as index ranges).  O(n) per operator in trace length,
+      independent of window width.
     - {!Naive.eval} — the executable definition of the semantics: every
       tick re-scans every sample in its window, O(n·w).  It is preserved
-      as the semantics of record; the fast path's tick-for-tick
-      equivalence to it (and to {!Online}) is enforced by the differential
-      test suite, not assumed.
+      as the semantics of record; the plan executors' tick-for-tick
+      equivalence to it is enforced by the differential test suites, not
+      assumed.
 
     See DESIGN.md §9 for the per-operator complexity table and the
     equivalence argument. *)
@@ -62,6 +64,16 @@ val eval_columns :
     snapshots are still needed for state-machine guards, which step tick
     by tick. *)
 
+val eval_plan :
+  Plan.t -> Monitor_trace.Snapshot.t array -> Monitor_trace.Columns.t ->
+  outcome array
+(** Every rule of a plan in one pass over its node array, indexed like
+    [plan.specs]: each shared node's column is computed once and read by
+    all its consumers, and a node's column is overwritten in place by its
+    parent when that parent is its only consumer.  State machines step
+    per rule; only machine-free subterms are shared (see {!Plan}).
+    [cols] as in {!eval_columns}. *)
+
 (** The naive reference evaluator — the semantics of record.  Same
     signatures, same outcomes; per-tick snapshot-based leaf evaluation and
     an O(n·w) per-tick window re-scan instead of columnar leaves and the
@@ -73,14 +85,12 @@ module Naive : sig
   val eval_array : Spec.t -> Monitor_trace.Snapshot.t array -> outcome
 end
 
-(** {2 Subformula evaluation for the quantitative kernels}
+(** {2 Pieces of the plan executor, for {!Robust}}
 
     {!Robust} keeps warm-up triggers boolean — the degree of "has the
     trigger fired recently" is not meaningful, and evaluating the trigger
     on this module's kernels guarantees the set of suppressed ticks is
-    identical to the boolean semantics'.  These entry points evaluate a
-    bare subformula (not a whole {!Spec.t}) over an already-built
-    trace view; machine modes come from {!run_machines}. *)
+    identical to the boolean semantics'. *)
 
 val run_machines :
   Spec.t -> Monitor_trace.Snapshot.t array -> string array * string array array
@@ -89,12 +99,24 @@ val run_machines :
     state at tick [i].  Guards see pre-step modes, as in {!Online}.  Both
     arrays are empty when the spec has no machines. *)
 
-val eval_subformula_columns :
-  Formula.t ->
-  mode_arr:(string -> string array option) ->
-  Monitor_trace.Columns.t ->
-  Verdict.t array
-(** Fast-path (columnar) boolean evaluation of one subformula. *)
+val plan_machines :
+  Plan.t -> Monitor_trace.Snapshot.t array ->
+  (string array * string array array) array
+(** {!run_machines} for every rule of the plan. *)
+
+val node_modes :
+  (string array * string array array) array -> Plan.node ->
+  string -> string array option
+(** The per-machine mode columns a node's atoms evaluate under: its
+    owning rule's ([plan_machines]), none for shareable nodes. *)
+
+val plan_node_verdicts :
+  col:(int -> Verdict.t array) -> own:(int -> bool) ->
+  mode_arr:(string -> string array option) -> float array ->
+  Monitor_trace.Columns.t -> Plan.node -> Verdict.t array
+(** The verdict column of one plan node from its children's columns
+    [col c]; [own c] permits overwriting child [c]'s column in place
+    (this node is its only consumer). *)
 
 val eval_subformula_naive :
   Formula.t ->
@@ -103,16 +125,6 @@ val eval_subformula_naive :
   Verdict.t array
 (** Naive-path boolean evaluation of one subformula (per-tick leaves,
     window re-scan) — the reference {!Robust.Naive} builds on. *)
-
-val window_scan :
-  float array -> Verdict.t array -> lo_off:float -> hi_off:float ->
-  sem:Window.sem -> Verdict.t array
-(** The sliding-window kernel itself: verdict at tick [k] of the window
-    [[t_k + lo_off, t_k + hi_off]] over the child verdicts, under [sem]'s
-    decision table.  Allocates a fresh output and never mutates [child] —
-    the plan executor ({!Plan_exec}) relies on this to aggregate over
-    memoized, shared child columns.  Past operators are expressed with
-    negative offsets ([Once [a,b]] is [lo_off = -b], [hi_off = -a]). *)
 
 val mask_scan : float array -> Verdict.t array -> hold:float -> Verdict.t array
 (** The warm-up suppression window: [True] at tick [k] iff the trigger

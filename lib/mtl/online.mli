@@ -9,11 +9,12 @@
     trace length (the property that lets a bolt-on box keep up with a live
     bus).
 
-    The kernel is incremental per-tick evaluation over flat state
-    (DESIGN.md §12): leaves read per-signal slots refreshed once per tick,
-    each temporal operator slides a three-counter ring-buffer window by
-    monotone index advance, and every node's output is a reusable ring of
-    verdict bytes.  All buffers grow by doubling up to the formula's
+    A monitor is a one-root {!Fused} plan ({!Plan.compile} [[spec]])
+    with a batch interface.  The kernel is incremental per-tick
+    evaluation over flat state (DESIGN.md §12): leaves read per-signal
+    slots refreshed once per tick, each temporal operator slides a
+    three-counter ring-buffer window by monotone index advance, and every
+    node's output is a reusable ring of verdict bytes.  All buffers grow by doubling up to the formula's
     horizon and are then reused, so a steady-state {!step_resolved} of a
     machine-free spec performs {e no} minor-heap allocation (asserted by
     [test/test_online_alloc.ml]); per-operator cost is amortised O(1) per
@@ -106,14 +107,14 @@ val modes : t -> (string * string) list
     ordered node array, and each subterm shared across rules (or within
     one rule) is advanced once instead of once per occurrence.  Every
     rule's verdict stream — content {e and} resolution timing — is
-    byte-identical to a dedicated per-rule monitor's ({!create} +
-    {!step}), which is what lets the fleet layer adopt the fused driver
-    without perturbing its replay digests; the equivalence is enforced
-    by the differential property in [test/test_plan.ml].
+    byte-identical to a dedicated one-root monitor's ({!create} +
+    {!step}), which is what lets the fleet's [--verify] replay compare
+    the two; the equivalence is enforced by the batch-identity property
+    in [test/test_plan.ml].
 
     Machines remain per-rule state (only machine-free subterms are
-    shared, see {!Plan}), and the steady-state zero-allocation
-    discipline of the tree kernel carries over. *)
+    shared, see {!Plan}), and steady-state steps of machine-free plans
+    allocate nothing. *)
 module Fused : sig
   type t
 
@@ -144,14 +145,16 @@ module Fused : sig
   (** Current (post-step) state of rule [r]'s machines. *)
 end
 
-(** {2 Kernel internals, for {!Robust.Online} only}
+(** {2 Substrate, for {!Robust.Online} only}
 
-    The incremental robust kernel is a second node tree over the same
+    The robust incremental executor runs its own node kinds over the same
     per-tick substrate: flat signal slots, slot-compiled expressions and
-    immediate formulas, and — for warm-up masks — whole boolean node
-    trees.  This module re-exports that substrate so there is exactly one
-    implementation of each piece; it is not a stable API and nothing
-    outside [lib/mtl] should touch it. *)
+    immediate formulas, and a boolean core that owns the clock, the
+    signal refresh and the per-rule machines and runs the warm-up masks
+    as boolean plan nodes, built and advanced exactly as {!Fused} builds
+    and advances them.  This module re-exports that substrate so there is
+    exactly one implementation of each piece; it is not a stable API and
+    nothing outside [lib/mtl] should touch it. *)
 module Internal : sig
   type signals
   (** The flat per-signal slot state behind {!shared}. *)
@@ -169,36 +172,63 @@ module Internal : sig
   type env
   type enode
   type vnode
+
   type node
+  (** A boolean plan node. *)
 
-  val signals_make : string list -> signals
-  val signals_of_shared : shared -> signals
-  val update_signals : signals -> Monitor_trace.Snapshot.t -> unit
+  type dag
+  (** Build-time table of boolean plan nodes. *)
 
-  val make_env : signals -> nhist:int -> post_modes:string array -> env
-  (** [nhist] must be the final counter value of the [compile_*]/[build]
-      calls whose nodes this environment will evaluate. *)
+  type core
+  (** A built boolean executor: nodes, clock, signal environment and
+      per-rule machines. *)
 
   val env_est : env -> estate
-  val machine_index : string array -> string -> int
   val compile_expr : signals -> int ref -> Expr.t -> enode
   val eval_expr : env -> enode -> unit
   val compile_vnode : signals -> string array -> int ref -> Formula.t -> vnode
   val eval_vnode : env -> vnode -> Verdict.t
-  val build : signals -> string array -> int ref -> Formula.t -> node
 
-  val advance : env -> node -> float -> unit
-  (** Feed one tick (the environment's [estate]/slots/modes must already
-      reflect it) and resolve whatever becomes decidable. *)
+  val dag_create : Plan.t -> int array -> dag
+  (** [uses.(id)] is the number of consuming edges plan node [id] has in
+      this executor; nodes with more than one are read through taps. *)
 
-  val finalize_node : node -> unit
+  val dag_add :
+    dag -> signals -> string array -> int ref -> int -> Plan.node -> unit
+  (** Build plan node [id] (children must be built already) against the
+      machine table of its owner. *)
+
+  val dag_mask : dag -> trigger:int -> hold:float -> node
+  (** A private warm-up suppression window over built node [trigger]:
+      [True] at [t] iff the trigger was [True] in [[t - hold, t]]. *)
+
+  val core_build :
+    ?shared:shared -> Plan.t ->
+    (signals -> (int -> string array) -> int ref -> dag * node array * 'a) ->
+    core * 'a
+  (** [core_build plan build]: [build sg names_of nhist] compiles the
+      boolean nodes into a dag and returns it with the per-rule report
+      nodes, [names_of owner] being the machine table a node of that
+      owner resolves [in_mode] against; ['a] is whatever else [build]
+      compiled against the same signals and history. *)
+
+  val core_check : who:string -> core -> Monitor_trace.Snapshot.t -> unit
+  (** Validate the next snapshot; [who] prefixes the error messages. *)
+
+  val core_advance : core -> Monitor_trace.Snapshot.t -> unit
+  (** Step the clock, the signal slots and the machines to a checked
+      snapshot and advance every boolean node once. *)
+
+  val core_finalize : who:string -> core -> unit
+  val core_env : core -> env
+  val core_ticks : core -> int
+  val core_modes : core -> int -> (string * string) list
 
   val out_len : node -> int
   val out_base : node -> int
   val out_verdict : node -> int -> Verdict.t
-  val out_time : node -> int -> float
   val out_consume : node -> int -> unit
   (** A node's output ring: [out_len] entries, entry [i] being tick
-      [out_base + i]; parents read a prefix and retire it with
+      [out_base + i]; the consumer reads a prefix and retires it with
       [out_consume]. *)
 end

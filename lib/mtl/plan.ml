@@ -2,10 +2,10 @@
    hash-consed into one shared DAG (see plan.mli and DESIGN.md §15).
 
    The builder does structural common-subexpression elimination only —
-   no rewriting.  Execution byte-identity to the per-rule kernels is
-   then an induction over node kinds (each node computes exactly what
-   the per-rule kernel computes for the same subformula), not a theorem
-   about rewrite soundness; the rewrite-based facts (what Interval
+   no rewriting.  That sharing changes no verdict is then an induction
+   over node kinds (a shared node computes exactly what its private copy
+   in a rule's one-root plan computes), not a theorem about rewrite
+   soundness; the rewrite-based facts (what Interval
    analysis could additionally fold or prune) are computed separately by
    Monitor_analysis.Specplan and reported, never silently applied. *)
 
@@ -178,6 +178,15 @@ let compile spec_list =
   { specs;
     nodes = Array.init !len (fun i -> get i);
     roots }
+
+(* Future operators look at [t + lo, t + hi], past ones at
+   [t - hi, t - lo]. *)
+let window_offsets op ~lo ~hi =
+  match op with
+  | W_always -> (lo, hi, Window.Universal)
+  | W_eventually -> (lo, hi, Window.Existential)
+  | W_historically -> (-.hi, -.lo, Window.Universal)
+  | W_once -> (-.hi, -.lo, Window.Existential)
 
 let rule_count t = Array.length t.specs
 

@@ -10,10 +10,11 @@
     rules in a single flat left-to-right pass over the array.
 
     The builder performs {e no} rewriting: nodes hold the raw formula
-    subterms, so a plan executor's verdict stream is byte-identical to
-    the per-rule kernels' by structural induction, independent of any
-    simplifier.  Subterms that read state machines ([in_mode]) are
-    tagged with their owning rule and never shared across rules — each
+    subterms, so a rule's verdict stream from a whole plan is
+    byte-identical to its one-root plan's ([compile [spec]]) by
+    structural induction, independent of any simplifier.  Subterms that
+    read state machines ([in_mode]) are tagged with their owning rule
+    and never shared across rules — each
     spec instantiates its own machines, so textually identical mode
     references in two rules denote different state. *)
 
@@ -45,6 +46,11 @@ type t = {
 }
 
 val compile : Spec.t list -> t
+
+val window_offsets :
+  window_op -> lo:float -> hi:float -> float * float * Window.sem
+(** [(lo_off, hi_off, sem)]: a window node at tick [t] aggregates its
+    child over [[t + lo_off, t + hi_off]] under [sem]. *)
 
 val rule_count : t -> int
 val node_count : t -> int

@@ -1,288 +1,6 @@
-(* Columnar execution of a whole-spec plan: one pass over the
-   topologically ordered node array evaluates every rule of the spec
-   file against one trace traversal, memoizing each shared node's
-   column once.
+(* The columnar plan executors live beside their semantics' primitives:
+   boolean in Offline, robust in Robust. *)
 
-   Per node this is the per-rule kernel's code — the same leaf
-   evaluators, the same window scans, the same combine loops — with one
-   systematic difference: the per-rule kernels overwrite their left
-   operand (every subformula array there is uniquely owned), while here
-   a node's column may be consumed by several parents, so connectives
-   write freshly allocated outputs and warm-up copies its body before
-   suppressing.  The VALUES written are identical expression for
-   expression, which is what makes the fused pass verdict-byte-identical
-   to the per-rule kernels (tested differentially, boolean and robust). *)
+let eval_columns = Offline.eval_plan
 
-module Columns = Monitor_trace.Columns
-module Obs = Monitor_obs.Obs
-
-let m_ticks_fused =
-  Obs.counter ~labels:[ ("kernel", "offline_fused") ]
-    ~help:"Ticks evaluated, per kernel" "cps_kernel_ticks_total"
-
-let m_ticks_fused_robust =
-  Obs.counter ~labels:[ ("kernel", "offline_robust_fused") ]
-    ~help:"Ticks evaluated, per kernel" "cps_kernel_ticks_total"
-
-let no_modes _ = None
-
-(* Machines still run per rule — they are per-spec state.  Returns the
-   per-rule [(names, modes)] plus the [mode_arr] closure each rule's
-   owned atoms evaluate under. *)
-let rule_machines (plan : Plan.t) snaps =
-  Array.map
-    (fun spec ->
-      let names, modes = Offline.run_machines spec snaps in
-      let mode_arr machine =
-        let m = Array.length names in
-        let rec find j =
-          if j >= m then None
-          else if String.equal names.(j) machine then Some modes.(j)
-          else find (j + 1)
-        in
-        find 0
-      in
-      (names, modes, mode_arr))
-    plan.Plan.specs
-
-let mode_outcome names modes =
-  List.combine (Array.to_list names) (Array.to_list modes)
-
-let scan_offsets (op : Plan.window_op) ~lo ~hi =
-  match op with
-  | Plan.W_always -> (lo, hi, Window.Universal)
-  | Plan.W_eventually -> (lo, hi, Window.Existential)
-  | Plan.W_historically -> (-.hi, -.lo, Window.Universal)
-  | Plan.W_once -> (-.hi, -.lo, Window.Existential)
-
-let eval_columns (plan : Plan.t) snaps cols =
-  Obs.with_span ~cat:"kernel"
-    ~args:[ ("rules", string_of_int (Plan.rule_count plan)) ]
-    "plan.eval"
-  @@ fun () ->
-  let alloc0 = Gc.allocated_bytes () in
-  let n = cols.Columns.n in
-  let times = cols.Columns.times in
-  Window.check_times "Offline.eval" times;
-  let machines = rule_machines plan snaps in
-  let nodes = plan.Plan.nodes in
-  let memo = Array.make (Array.length nodes) [||] in
-  if n > 0 then
-    Array.iteri
-      (fun id (node : Plan.node) ->
-        let out =
-          match node.Plan.shape with
-          | Plan.Atom ->
-            let mode_arr =
-              if node.Plan.owner < 0 then no_modes
-              else
-                let _, _, ma = machines.(node.Plan.owner) in
-                ma
-            in
-            Immediate.eval_trace_exn node.Plan.form ~mode_arr cols
-          | Plan.Not c ->
-            let v = memo.(c) in
-            Array.map Verdict.not_ v
-          | Plan.And (a, b) ->
-            let va = memo.(a) and vb = memo.(b) in
-            Array.init n (fun k -> Verdict.and_ va.(k) vb.(k))
-          | Plan.Or (a, b) ->
-            let va = memo.(a) and vb = memo.(b) in
-            Array.init n (fun k -> Verdict.or_ va.(k) vb.(k))
-          | Plan.Implies (a, b) ->
-            let va = memo.(a) and vb = memo.(b) in
-            Array.init n (fun k -> Verdict.implies va.(k) vb.(k))
-          | Plan.Window { op; lo; hi; child } ->
-            let lo_off, hi_off, sem = scan_offsets op ~lo ~hi in
-            Offline.window_scan times memo.(child) ~lo_off ~hi_off ~sem
-          | Plan.Warmup { trigger; hold; body } ->
-            let suppress = Offline.mask_scan times memo.(trigger) ~hold in
-            let vb = Array.copy memo.(body) in
-            for k = 0 to n - 1 do
-              match suppress.(k) with
-              | Verdict.True -> vb.(k) <- Verdict.Unknown
-              | Verdict.False | Verdict.Unknown -> ()
-            done;
-            vb
-        in
-        memo.(id) <- out)
-      nodes;
-  let outcomes =
-    Array.mapi
-      (fun r root ->
-        let names, modes, _ = machines.(r) in
-        { Offline.times;
-          verdicts = (if n = 0 then [||] else memo.(root));
-          modes = mode_outcome names modes })
-      plan.Plan.roots
-  in
-  (* Same pacing note as Offline.eval_columns: columns and verdict
-     arrays are major-heap allocations the 5.1 pacer does not count. *)
-  let words = int_of_float ((Gc.allocated_bytes () -. alloc0) /. 8.0) in
-  if words > 0 then ignore (Gc.major_slice words);
-  Obs.add m_ticks_fused (n * Plan.rule_count plan);
-  outcomes
-
-(* Robust pass: per-node [(lo, hi)] column pairs with the same
-   point-sharing representation as Robust.eval_formula — [lo == hi]
-   (physical equality) where the interval is degenerate at every tick.
-   Freshly allocated outputs preserve the per-rule kernel's sharedness
-   predicate at every node (point iff both operands are points, iff the
-   per-rule pass would have kept its pair shared), so the float values
-   agree exactly, not just approximately. *)
-
-let fmin (a : float) (b : float) = if a <= b then a else b
-let fmax (a : float) (b : float) = if a >= b then a else b
-
-let combine2_fresh op n (la, ha) (lb, hb) =
-  if la == ha && lb == hb then begin
-    let o = Array.make n 0.0 in
-    for k = 0 to n - 1 do
-      o.(k) <- op la.(k) lb.(k)
-    done;
-    (o, o)
-  end
-  else begin
-    let ol = Array.make n 0.0 and oh = Array.make n 0.0 in
-    for k = 0 to n - 1 do
-      ol.(k) <- op la.(k) lb.(k);
-      oh.(k) <- op ha.(k) hb.(k)
-    done;
-    (ol, oh)
-  end
-
-let eval_columns_robust (plan : Plan.t) snaps cols =
-  Obs.with_span ~cat:"kernel"
-    ~args:[ ("rules", string_of_int (Plan.rule_count plan)) ]
-    "plan.eval_robust"
-  @@ fun () ->
-  let alloc0 = Gc.allocated_bytes () in
-  let n = cols.Columns.n in
-  let times = cols.Columns.times in
-  Window.check_times "Robust.eval" times;
-  let machines = rule_machines plan snaps in
-  let nodes = plan.Plan.nodes in
-  let nnodes = Array.length nodes in
-  let memo = Array.make nnodes ([||], [||]) in
-  (* Warm-up triggers are evaluated boolean (see robust.mli); memoized
-     separately and only for the nodes warm-ups actually reference. *)
-  let bool_memo = Array.make nnodes None in
-  let mode_arr_of id =
-    if nodes.(id).Plan.owner < 0 then no_modes
-    else
-      let _, _, ma = machines.(nodes.(id).Plan.owner) in
-      ma
-  in
-  let rec bool_of id =
-    match bool_memo.(id) with
-    | Some v -> v
-    | None ->
-      let node = nodes.(id) in
-      let out =
-        match node.Plan.shape with
-        | Plan.Atom ->
-          Immediate.eval_trace_exn node.Plan.form ~mode_arr:(mode_arr_of id)
-            cols
-        | Plan.Not c -> Array.map Verdict.not_ (bool_of c)
-        | Plan.And (a, b) ->
-          let va = bool_of a and vb = bool_of b in
-          Array.init n (fun k -> Verdict.and_ va.(k) vb.(k))
-        | Plan.Or (a, b) ->
-          let va = bool_of a and vb = bool_of b in
-          Array.init n (fun k -> Verdict.or_ va.(k) vb.(k))
-        | Plan.Implies (a, b) ->
-          let va = bool_of a and vb = bool_of b in
-          Array.init n (fun k -> Verdict.implies va.(k) vb.(k))
-        | Plan.Window { op; lo; hi; child } ->
-          let lo_off, hi_off, sem = scan_offsets op ~lo ~hi in
-          Offline.window_scan times (bool_of child) ~lo_off ~hi_off ~sem
-        | Plan.Warmup { trigger; hold; body } ->
-          let suppress = Offline.mask_scan times (bool_of trigger) ~hold in
-          let vb = Array.copy (bool_of body) in
-          for k = 0 to n - 1 do
-            match suppress.(k) with
-            | Verdict.True -> vb.(k) <- Verdict.Unknown
-            | Verdict.False | Verdict.Unknown -> ()
-          done;
-          vb
-      in
-      bool_memo.(id) <- Some out;
-      out
-  in
-  if n > 0 then begin
-    let scratch = Robust.scratch_make () in
-    Array.iteri
-      (fun id (node : Plan.node) ->
-        let out =
-          match node.Plan.shape with
-          | Plan.Atom ->
-            Robust.leaf_columns ~mode_arr:(mode_arr_of id) cols node.Plan.form
-          | Plan.Not c ->
-            let l, h = memo.(c) in
-            if l == h then begin
-              let o = Array.make n 0.0 in
-              for k = 0 to n - 1 do
-                o.(k) <- -.l.(k)
-              done;
-              (o, o)
-            end
-            else begin
-              let ol = Array.make n 0.0 and oh = Array.make n 0.0 in
-              for k = 0 to n - 1 do
-                ol.(k) <- -.h.(k);
-                oh.(k) <- -.l.(k)
-              done;
-              (ol, oh)
-            end
-          | Plan.And (a, b) -> combine2_fresh fmin n memo.(a) memo.(b)
-          | Plan.Or (a, b) -> combine2_fresh fmax n memo.(a) memo.(b)
-          | Plan.Implies (a, b) ->
-            let la, ha = memo.(a) and lb, hb = memo.(b) in
-            if la == ha && lb == hb then begin
-              let o = Array.make n 0.0 in
-              for k = 0 to n - 1 do
-                o.(k) <- fmax (-.la.(k)) lb.(k)
-              done;
-              (o, o)
-            end
-            else begin
-              let ol = Array.make n 0.0 and oh = Array.make n 0.0 in
-              for k = 0 to n - 1 do
-                ol.(k) <- fmax (-.ha.(k)) lb.(k);
-                oh.(k) <- fmax (-.la.(k)) hb.(k)
-              done;
-              (ol, oh)
-            end
-          | Plan.Window { op; lo; hi; child } ->
-            let lo_off, hi_off, sem = scan_offsets op ~lo ~hi in
-            Robust.window_scan scratch times memo.(child) ~lo_off ~hi_off ~sem
-          | Plan.Warmup { trigger; hold; body } ->
-            let vt = bool_of trigger in
-            let ml, mh = memo.(body) in
-            let bl = Array.copy ml in
-            let bh = ref (if mh == ml then bl else Array.copy mh) in
-            let suppress = Offline.mask_scan times vt ~hold in
-            for k = 0 to n - 1 do
-              match suppress.(k) with
-              | Verdict.True ->
-                if !bh == bl then bh := Array.copy bl;
-                bl.(k) <- Float.neg_infinity;
-                !bh.(k) <- Float.infinity
-              | Verdict.False | Verdict.Unknown -> ()
-            done;
-            (bl, !bh)
-        in
-        memo.(id) <- out)
-      nodes
-  end;
-  let outcomes =
-    Array.map
-      (fun root ->
-        let lo, hi = if n = 0 then ([||], [||]) else memo.(root) in
-        { Robust.times; lo; hi })
-      plan.Plan.roots
-  in
-  let words = int_of_float ((Gc.allocated_bytes () -. alloc0) /. 8.0) in
-  if words > 0 then ignore (Gc.major_slice words);
-  Obs.add m_ticks_fused_robust (n * Plan.rule_count plan);
-  outcomes
+let eval_columns_robust = Robust.eval_plan

@@ -377,8 +377,8 @@ let leaf_columns ~mode_arr cols (f : Formula.t) =
 
 module Obs = Monitor_obs.Obs
 
-let m_ticks_offline_robust =
-  Obs.counter ~labels:[ ("kernel", "offline_robust") ]
+let m_ticks_fused_robust =
+  Obs.counter ~labels:[ ("kernel", "offline_robust_fused") ]
     ~help:"Ticks evaluated, per kernel" "cps_kernel_ticks_total"
 
 let m_ticks_naive_robust =
@@ -389,38 +389,168 @@ let m_ticks_online_robust =
   Obs.counter ~labels:[ ("kernel", "online_robust") ]
     ~help:"Ticks evaluated, per kernel" "cps_kernel_ticks_total"
 
-let eval_columns (spec : Spec.t) snaps cols =
-  Obs.with_span ~cat:"kernel" ~args:[ ("rule", spec.Spec.name) ] "robust.eval"
+(* Columnar plan execution ----------------------------------------------------
+
+   The robust counterpart of Offline.eval_plan: per-node [(lo, hi)]
+   column pairs in [eval_formula]'s point-sharing representation.  A
+   node overwrites a child it exclusively owns ([uses = 1]) in place
+   when the result keeps that operand's sharing shape, and otherwise
+   writes fresh arrays; either way it writes the same float expressions,
+   and a result is a point iff both operands are, so the bounds are
+   bit-identical whoever owns what.  Warm-up
+   triggers are evaluated boolean, lazily and only for the nodes
+   warm-ups reference. *)
+
+(* Output of a binary node over [(la, ha)] and [(lb, hb)]. *)
+let combine2_owned op n ~own_a ~own_b (la, ha) (lb, hb) =
+  if la == ha && lb == hb then begin
+    let o = if own_a then la else if own_b then lb else Array.make n 0.0 in
+    for k = 0 to n - 1 do
+      o.(k) <- op la.(k) lb.(k)
+    done;
+    (o, o)
+  end
+  else begin
+    let ol, oh =
+      if own_a && la != ha then (la, ha)
+      else if own_b && lb != hb then (lb, hb)
+      else (Array.make n 0.0, Array.make n 0.0)
+    in
+    for k = 0 to n - 1 do
+      let xl = op la.(k) lb.(k) and xh = op ha.(k) hb.(k) in
+      ol.(k) <- xl;
+      oh.(k) <- xh
+    done;
+    (ol, oh)
+  end
+
+let eval_plan (plan : Plan.t) snaps cols =
+  Obs.with_span ~cat:"kernel"
+    ~args:[ ("rules", string_of_int (Plan.rule_count plan)) ]
+    "plan.eval_robust"
   @@ fun () ->
   let alloc0 = Gc.allocated_bytes () in
   let n = cols.Columns.n in
   let times = cols.Columns.times in
   Window.check_times "Robust.eval" times;
-  let names, modes = Offline.run_machines spec snaps in
-  let mode_arr machine =
-    let m = Array.length names in
-    let rec find j =
-      if j >= m then None
-      else if String.equal names.(j) machine then Some modes.(j)
-      else find (j + 1)
-    in
-    find 0
+  let machines = Offline.plan_machines plan snaps in
+  let nodes = plan.Plan.nodes in
+  let nnodes = Array.length nodes in
+  let own c = nodes.(c).Plan.uses = 1 in
+  let memo = Array.make nnodes ([||], [||]) in
+  let bool_memo = Array.make nnodes None in
+  let rec bool_of id =
+    match bool_memo.(id) with
+    | Some v -> v
+    | None ->
+      let node = nodes.(id) in
+      let v =
+        Offline.plan_node_verdicts ~col:bool_of ~own
+          ~mode_arr:(Offline.node_modes machines node) times cols node
+      in
+      bool_memo.(id) <- Some v;
+      v
   in
-  let lo, hi =
-    if n = 0 then ([||], [||])
-    else
-      eval_formula
-        ~leaf:(leaf_columns ~mode_arr cols)
-        ~scan:(window_scan (scratch_make ()))
-        ~bool_sub:(fun f -> Offline.eval_subformula_columns f ~mode_arr cols)
-        ~mask:Offline.mask_scan times spec.Spec.formula
+  let fresh () = Array.make n 0.0 in
+  if n > 0 then begin
+    let scratch = scratch_make () in
+    Array.iteri
+      (fun id (node : Plan.node) ->
+        let out =
+          match node.Plan.shape with
+          | Plan.Atom ->
+            leaf_columns ~mode_arr:(Offline.node_modes machines node) cols
+              node.Plan.form
+          | Plan.Not c ->
+            let l, h = memo.(c) in
+            if l == h then begin
+              let o = if own c then l else fresh () in
+              for k = 0 to n - 1 do
+                o.(k) <- -.l.(k)
+              done;
+              (o, o)
+            end
+            else begin
+              let ol, oh = if own c then (l, h) else (fresh (), fresh ()) in
+              for k = 0 to n - 1 do
+                let xl = -.h.(k) and xh = -.l.(k) in
+                ol.(k) <- xl;
+                oh.(k) <- xh
+              done;
+              (ol, oh)
+            end
+          | Plan.And (a, b) ->
+            combine2_owned fmin n ~own_a:(own a) ~own_b:(own b) memo.(a) memo.(b)
+          | Plan.Or (a, b) ->
+            combine2_owned fmax n ~own_a:(own a) ~own_b:(own b) memo.(a) memo.(b)
+          | Plan.Implies (a, b) ->
+            (* max(neg a, b) *)
+            let la, ha = memo.(a) and lb, hb = memo.(b) in
+            if la == ha && lb == hb then begin
+              let o = if own a then la else if own b then lb else fresh () in
+              for k = 0 to n - 1 do
+                o.(k) <- fmax (-.la.(k)) lb.(k)
+              done;
+              (o, o)
+            end
+            else begin
+              let ol, oh =
+                if own a && la != ha then (la, ha)
+                else if own b && lb != hb then (lb, hb)
+                else (fresh (), fresh ())
+              in
+              for k = 0 to n - 1 do
+                let xl = fmax (-.ha.(k)) lb.(k)
+                and xh = fmax (-.la.(k)) hb.(k) in
+                ol.(k) <- xl;
+                oh.(k) <- xh
+              done;
+              (ol, oh)
+            end
+          | Plan.Window { op; lo; hi; child } ->
+            let lo_off, hi_off, sem = Plan.window_offsets op ~lo ~hi in
+            window_scan scratch times memo.(child) ~lo_off ~hi_off ~sem
+          | Plan.Warmup { trigger; hold; body } ->
+            let suppress = Offline.mask_scan times (bool_of trigger) ~hold in
+            let ml, mh = memo.(body) in
+            let bl = if own body then ml else Array.copy ml in
+            (* Suppression widens to [-inf, +inf], so a point body splits
+               on the first suppressed tick (and only then). *)
+            let bh =
+              ref
+                (if mh == ml then bl
+                 else if own body then mh
+                 else Array.copy mh)
+            in
+            for k = 0 to n - 1 do
+              match suppress.(k) with
+              | Verdict.True ->
+                if !bh == bl then bh := Array.copy bl;
+                bl.(k) <- Float.neg_infinity;
+                !bh.(k) <- Float.infinity
+              | Verdict.False | Verdict.Unknown -> ()
+            done;
+            (bl, !bh)
+        in
+        memo.(id) <- out)
+      nodes
+  end;
+  let outcomes =
+    Array.map
+      (fun root ->
+        let lo, hi = if n = 0 then ([||], [||]) else memo.(root) in
+        { times; lo; hi })
+      plan.Plan.roots
   in
-  (* Same pacing note as Offline.eval_columns: these are major-heap
+  (* Same pacing note as Offline.eval_plan: these are major-heap
      allocations the pacer does not count. *)
   let words = int_of_float ((Gc.allocated_bytes () -. alloc0) /. 8.0) in
   if words > 0 then ignore (Gc.major_slice words);
-  Obs.add m_ticks_offline_robust n;
-  { times; lo; hi }
+  Obs.add m_ticks_fused_robust (n * Plan.rule_count plan);
+  outcomes
+
+let eval_columns spec snaps cols =
+  (eval_plan (Plan.compile [ spec ]) snaps cols).(0)
 
 let eval_array spec snaps =
   eval_columns spec snaps (Columns.of_snapshots snaps)
@@ -544,7 +674,7 @@ module Naive = struct
   let eval spec snapshots = eval_array spec (Array.of_list snapshots)
 end
 
-(* Online (incremental) kernel --------------------------------------------- *)
+(* Online (incremental) executor -------------------------------------------- *)
 
 type bool_shared = Online.shared
 
@@ -718,9 +848,10 @@ module Online = struct
     | R_implies of rnode * rnode
     | R_temporal of rtemporal
     | R_warmup of { w_mask : OI.node; w_body : rnode }
-        (* The warm-up trigger runs as a whole boolean node tree over
-           [Warmup {trigger; hold; body = Const true}]: its resolved
-           verdict is Unknown exactly on suppressed ticks. *)
+        (* [w_mask] is the boolean suppression window over the warm-up's
+           trigger, a plan node advanced as Online.Fused advances it: its
+           resolved verdict is [True] exactly on suppressed ticks. *)
+    | R_tap of rtap
 
   and rleaf =
     | RL_cmp of Formula.comparison * OI.enode * OI.enode
@@ -740,6 +871,11 @@ module Online = struct
     mutable r_saw_input : bool;
   }
 
+  (* A non-destructive reader of a shared robust node, exactly the
+     boolean kernel's tap: it copies the hub's newly resolved entries
+     (absolute tick >= [r_copied]) into its own ring for one consumer. *)
+  and rtap = { r_src : rnode; mutable r_copied : int }
+
   let rtemporal ~universal ~lo_off ~hi_off child =
     { rkind =
         R_temporal
@@ -758,52 +894,6 @@ module Online = struct
             r_any_child = false;
             r_saw_input = false };
       rout = rbuf_create () }
-
-  let rec rbuild sg machine_names nhist (f : Formula.t) : rnode =
-    match f with
-    | Formula.Cmp (a, op, b) ->
-      let ea = OI.compile_expr sg nhist a in
-      let eb = OI.compile_expr sg nhist b in
-      { rkind = R_leaf (RL_cmp (op, ea, eb)); rout = rbuf_create () }
-    | Formula.Const _ | Formula.Bool_signal _ | Formula.Fresh _
-    | Formula.Known _ | Formula.Stale _ | Formula.In_mode _ ->
-      { rkind = R_leaf (RL_atom (OI.compile_vnode sg machine_names nhist f));
-        rout = rbuf_create () }
-    | Formula.Not g ->
-      { rkind = R_not (rbuild sg machine_names nhist g); rout = rbuf_create () }
-    | Formula.And (a, b) ->
-      let l = rbuild sg machine_names nhist a in
-      { rkind = R_and (l, rbuild sg machine_names nhist b);
-        rout = rbuf_create () }
-    | Formula.Or (a, b) ->
-      let l = rbuild sg machine_names nhist a in
-      { rkind = R_or (l, rbuild sg machine_names nhist b);
-        rout = rbuf_create () }
-    | Formula.Implies (a, b) ->
-      let l = rbuild sg machine_names nhist a in
-      { rkind = R_implies (l, rbuild sg machine_names nhist b);
-        rout = rbuf_create () }
-    | Formula.Always (i, g) ->
-      rtemporal ~universal:true ~lo_off:i.Formula.lo ~hi_off:i.Formula.hi
-        (rbuild sg machine_names nhist g)
-    | Formula.Eventually (i, g) ->
-      rtemporal ~universal:false ~lo_off:i.Formula.lo ~hi_off:i.Formula.hi
-        (rbuild sg machine_names nhist g)
-    | Formula.Historically (i, g) ->
-      rtemporal ~universal:true ~lo_off:(-.i.Formula.hi)
-        ~hi_off:(-.i.Formula.lo)
-        (rbuild sg machine_names nhist g)
-    | Formula.Once (i, g) ->
-      rtemporal ~universal:false ~lo_off:(-.i.Formula.hi)
-        ~hi_off:(-.i.Formula.lo)
-        (rbuild sg machine_names nhist g)
-    | Formula.Warmup { trigger; hold; body } ->
-      let w_mask =
-        OI.build sg machine_names nhist
-          (Formula.Warmup { trigger; hold; body = Formula.Const true })
-      in
-      { rkind = R_warmup { w_mask; w_body = rbuild sg machine_names nhist body };
-        rout = rbuf_create () }
 
   (* Drains --------------------------------------------------------------- *)
 
@@ -857,8 +947,8 @@ module Online = struct
       for i = 0 to k - 1 do
         let suppressed =
           match OI.out_verdict w_mask i with
-          | Verdict.Unknown -> true
-          | Verdict.True | Verdict.False -> false
+          | Verdict.True -> true
+          | Verdict.False | Verdict.Unknown -> false
         in
         let src = rbuf_phys b i in
         let ol = if suppressed then Float.neg_infinity else b.bl.(src) in
@@ -871,6 +961,21 @@ module Online = struct
       done;
       OI.out_consume w_mask k;
       rbuf_consume b k
+    end
+
+  let r_tap_drain tap out =
+    let s = tap.r_src.rout in
+    let start = tap.r_copied - s.bbase in
+    if start < s.blen then begin
+      for i = start to s.blen - 1 do
+        let src = rbuf_phys s i in
+        let l = s.bl.(src) and h = s.bh.(src) and t = s.bt.(src) in
+        let j = rbuf_reserve out in
+        out.bl.(j) <- l;
+        out.bh.(j) <- h;
+        out.bt.(j) <- t
+      done;
+      tap.r_copied <- s.bbase + s.blen
     end
 
   (* Window machinery ----------------------------------------------------- *)
@@ -964,7 +1069,9 @@ module Online = struct
 
   (* Advancing ------------------------------------------------------------ *)
 
-  let rec radvance env node time =
+  (* One node's own per-tick work, its children already advanced this
+     tick (the executor walks nodes in plan order). *)
+  let r_advance_self env node time =
     match node.rkind with
     | R_leaf (RL_cmp (op, ea, eb)) ->
       let est = OI.env_est env in
@@ -991,23 +1098,11 @@ module Online = struct
       o.bl.(j) <- Verdict.robust_lower verdict;
       o.bh.(j) <- Verdict.robust_upper verdict;
       o.bt.(j) <- time
-    | R_not c ->
-      radvance env c time;
-      r_drain_not c node.rout
-    | R_and (a, b) ->
-      radvance env a time;
-      radvance env b time;
-      r_drain_bin 0 a b node.rout
-    | R_or (a, b) ->
-      radvance env a time;
-      radvance env b time;
-      r_drain_bin 1 a b node.rout
-    | R_implies (a, b) ->
-      radvance env a time;
-      radvance env b time;
-      r_drain_bin 2 a b node.rout
+    | R_not c -> r_drain_not c node.rout
+    | R_and (a, b) -> r_drain_bin 0 a b node.rout
+    | R_or (a, b) -> r_drain_bin 1 a b node.rout
+    | R_implies (a, b) -> r_drain_bin 2 a b node.rout
     | R_temporal tp ->
-      radvance env tp.r_child time;
       if not tp.r_saw_input then begin
         tp.rtf.r_first_in <- time;
         tp.r_saw_input <- true
@@ -1016,158 +1111,201 @@ module Online = struct
       pring_push tp.r_pend time;
       r_absorb_child tp;
       r_try_resolve ~finalizing:false tp node.rout
-    | R_warmup { w_mask; w_body } ->
-      OI.advance env w_mask time;
-      radvance env w_body time;
-      r_drain_warmup w_mask w_body node.rout
+    | R_warmup { w_mask; w_body } -> r_drain_warmup w_mask w_body node.rout
+    | R_tap tap -> r_tap_drain tap node.rout
 
-  let rec rfinalize node =
+  let r_finalize_self node =
     match node.rkind with
     | R_leaf _ -> ()
-    | R_not c ->
-      rfinalize c;
-      r_drain_not c node.rout
-    | R_and (a, b) ->
-      rfinalize a;
-      rfinalize b;
-      r_drain_bin 0 a b node.rout
-    | R_or (a, b) ->
-      rfinalize a;
-      rfinalize b;
-      r_drain_bin 1 a b node.rout
-    | R_implies (a, b) ->
-      rfinalize a;
-      rfinalize b;
-      r_drain_bin 2 a b node.rout
+    | R_not c -> r_drain_not c node.rout
+    | R_and (a, b) -> r_drain_bin 0 a b node.rout
+    | R_or (a, b) -> r_drain_bin 1 a b node.rout
+    | R_implies (a, b) -> r_drain_bin 2 a b node.rout
     | R_temporal tp ->
-      rfinalize tp.r_child;
       r_absorb_child tp;
       r_try_resolve ~finalizing:true tp node.rout
-    | R_warmup { w_mask; w_body } ->
-      OI.finalize_node w_mask;
-      rfinalize w_body;
-      r_drain_warmup w_mask w_body node.rout
+    | R_warmup { w_mask; w_body } -> r_drain_warmup w_mask w_body node.rout
+    | R_tap tap -> r_tap_drain tap node.rout
 
-  (* Monitor -------------------------------------------------------------- *)
+  (* Plan executor -------------------------------------------------------- *)
 
-  type mfloats = { mutable last_time : float }
+  (* Which plan nodes run robust and which boolean, with each node's
+     consuming-edge count per domain: the robust domain is what the
+     roots reach other than through warm-up triggers; triggers and
+     everything below them run boolean.  A node can be in both. *)
+  let domains (plan : Plan.t) =
+    let nodes = plan.Plan.nodes in
+    let nn = Array.length nodes in
+    let r_uses = Array.make nn 0 and b_uses = Array.make nn 0 in
+    let bump uses c = uses.(c) <- uses.(c) + 1 in
+    Array.iter (bump r_uses) plan.Plan.roots;
+    (* Descending ids visit every parent before its children. *)
+    for id = nn - 1 downto 0 do
+      let node = nodes.(id) in
+      if r_uses.(id) > 0 then begin
+        match node.Plan.shape with
+        | Plan.Warmup { trigger; body; _ } ->
+          bump b_uses trigger;
+          bump r_uses body
+        | Plan.Atom | Plan.Not _ | Plan.And _ | Plan.Or _ | Plan.Implies _
+        | Plan.Window _ ->
+          List.iter (bump r_uses) (Plan.children node)
+      end;
+      if b_uses.(id) > 0 then List.iter (bump b_uses) (Plan.children node)
+    done;
+    (r_uses, b_uses)
 
-  type t = {
-    spec : Spec.t;
-    root : rnode;
+  (* The robust nodes ride on a boolean core: it owns the clock, the
+     signal slots and the machines, and runs the warm-up triggers and
+     their masks; it reports nothing itself. *)
+  type core = {
+    bcore : OI.core;
     env : OI.env;
-    est : OI.estate;
-    sg : OI.signals;
-    machines : State_machine.runtime array;
-    machine_names : string array;
-    pre_modes : string array;
-    post_modes : string array;
-    pre_lookup : string -> string option;
-    mf : mfloats;
+    rexec : rnode array;    (* robust nodes and taps, execution order *)
+    rhubs : rbuf array;     (* shared robust rings, retired once per tick *)
+    outs : rnode array;     (* per rule: its root, or a private tap of it *)
+  }
+
+  let core_create ?shared (plan : Plan.t) =
+    let r_uses, b_uses = domains plan in
+    let bcore, (rexec, rhubs, outs) =
+      OI.core_build ?shared plan (fun sg names_of nhist ->
+          let bdag = OI.dag_create plan b_uses in
+          let built = Array.make (Array.length plan.Plan.nodes) None in
+          let exec = ref [] and hubs = ref [] in
+          let push n = exec := n :: !exec in
+          let node kind = { rkind = kind; rout = rbuf_create () } in
+          let edge id =
+            let n = match built.(id) with Some n -> n | None -> assert false in
+            if r_uses.(id) > 1 then begin
+              let tap = node (R_tap { r_src = n; r_copied = 0 }) in
+              push tap;
+              tap
+            end
+            else n
+          in
+          Array.iteri
+            (fun id (pnode : Plan.node) ->
+              let names = names_of pnode.Plan.owner in
+              if b_uses.(id) > 0 then OI.dag_add bdag sg names nhist id pnode;
+              if r_uses.(id) > 0 then begin
+                let n =
+                  match pnode.Plan.shape with
+                  | Plan.Atom -> (
+                    match pnode.Plan.form with
+                    | Formula.Cmp (a, op, b) ->
+                      let ea = OI.compile_expr sg nhist a in
+                      let eb = OI.compile_expr sg nhist b in
+                      node (R_leaf (RL_cmp (op, ea, eb)))
+                    | f ->
+                      node (R_leaf (RL_atom (OI.compile_vnode sg names nhist f))))
+                  | Plan.Not c -> node (R_not (edge c))
+                  | Plan.And (a, b) ->
+                    let l = edge a in
+                    node (R_and (l, edge b))
+                  | Plan.Or (a, b) ->
+                    let l = edge a in
+                    node (R_or (l, edge b))
+                  | Plan.Implies (a, b) ->
+                    let l = edge a in
+                    node (R_implies (l, edge b))
+                  | Plan.Window { op; lo; hi; child } ->
+                    let lo_off, hi_off, sem = Plan.window_offsets op ~lo ~hi in
+                    let universal =
+                      match sem with
+                      | Window.Universal -> true
+                      | Window.Existential | Window.Mask -> false
+                    in
+                    rtemporal ~universal ~lo_off ~hi_off (edge child)
+                  | Plan.Warmup { trigger; hold; body } ->
+                    let w_mask = OI.dag_mask bdag ~trigger ~hold in
+                    node (R_warmup { w_mask; w_body = edge body })
+                in
+                push n;
+                if r_uses.(id) > 1 then hubs := n.rout :: !hubs;
+                built.(id) <- Some n
+              end)
+            plan.Plan.nodes;
+          let outs = Array.map edge plan.Plan.roots in
+          ( bdag,
+            [||],
+            ( Array.of_list (List.rev !exec),
+              Array.of_list (List.rev !hubs),
+              outs ) ))
+    in
+    { bcore; env = OI.core_env bcore; rexec; rhubs; outs }
+
+  let retire_hubs hubs =
+    for i = 0 to Array.length hubs - 1 do
+      let h = Array.unsafe_get hubs i in
+      rbuf_consume h h.blen
+    done
+
+  (* Boolean nodes first: they never read robust ones. *)
+  let advance_nodes bcore env nodes rhubs snapshot =
+    OI.core_advance bcore snapshot;
+    let time = snapshot.Snapshot.time in
+    for i = 0 to Array.length nodes - 1 do
+      r_advance_self env (Array.unsafe_get nodes i) time
+    done;
+    retire_hubs rhubs
+
+  let core_advance c snapshot =
+    advance_nodes c.bcore c.env c.rexec c.rhubs snapshot
+
+  let core_finalize ~who c =
+    OI.core_finalize ~who c.bcore;
+    let nodes = c.rexec in
+    for i = 0 to Array.length nodes - 1 do
+      r_finalize_self (Array.unsafe_get nodes i)
+    done;
+    retire_hubs c.rhubs
+
+  (* Single-rule monitor -------------------------------------------------- *)
+
+  (* The core's per-step fields are copied in so a step touches one
+     record, not two. *)
+  type t = {
+    bcore : OI.core;
+    env : OI.env;
+    rexec : rnode array;
+    rhubs : rbuf array;
+    root : rbuf;
     proot : pring;  (* times of ticks not yet resolved at the root *)
-    mutable next_tick : int;
-    mutable finalized : bool;
     mutable reported : int;
+    core : core;
   }
 
   type resolution = { tick : int; time : float; bounds : bounds }
 
   let create ?shared (spec : Spec.t) =
-    let formula = spec.Spec.formula in
-    let sg =
-      match shared with
-      | Some s -> OI.signals_of_shared s
-      | None -> OI.signals_make (Formula.signals formula)
-    in
-    let machines =
-      Array.of_list (List.map State_machine.start spec.Spec.machines)
-    in
-    let machine_names =
-      Array.of_list
-        (List.map
-           (fun (m : State_machine.t) -> m.State_machine.name)
-           spec.Spec.machines)
-    in
-    let nmach = Array.length machines in
-    let pre_modes = Array.make nmach "" in
-    let post_modes = Array.make nmach "" in
-    Array.iteri
-      (fun j rt ->
-        pre_modes.(j) <- State_machine.current rt;
-        post_modes.(j) <- State_machine.current rt)
-      machines;
-    let pre_lookup name =
-      let j = OI.machine_index machine_names name in
-      if j < 0 then None else Some pre_modes.(j)
-    in
-    let nhist = ref 0 in
-    let root = rbuild sg machine_names nhist formula in
-    let env = OI.make_env sg ~nhist:!nhist ~post_modes in
-    { spec; root; env; est = OI.env_est env; sg; machines; machine_names;
-      pre_modes; post_modes; pre_lookup;
-      mf = { last_time = Float.neg_infinity };
-      proot = pring_create ();
-      next_tick = 0; finalized = false; reported = 0 }
+    let core = core_create ?shared (Plan.compile [ spec ]) in
+    { bcore = core.bcore; env = core.env; rexec = core.rexec;
+      rhubs = core.rhubs; root = core.outs.(0).rout; proot = pring_create ();
+      reported = 0; core }
+
+  let settle t =
+    let n = t.root.blen in
+    for _ = 1 to n do
+      pring_pop t.proot
+    done;
+    t.reported <- n;
+    n
 
   let step_resolved t snapshot =
-    if t.finalized then
-      invalid_arg "Robust.Online.step: monitor already finalized";
-    let time = snapshot.Snapshot.time in
-    if time <= t.mf.last_time then
-      invalid_arg
-        (Printf.sprintf
-           "Robust.Online.step: snapshot times must be strictly increasing \
-            (tick %d has time %.9g, tick %d has time %.9g)"
-           (t.next_tick - 1) t.mf.last_time t.next_tick time);
-    rbuf_consume t.root.rout t.reported;
+    OI.core_check ~who:"Robust.Online.step" t.bcore snapshot;
+    rbuf_consume t.root t.reported;
     t.reported <- 0;
-    let est = t.est in
-    est.OI.now <- time;
-    if t.next_tick = 0 then est.OI.dt_def <- 0.0
-    else begin
-      est.OI.dt <- time -. t.mf.last_time;
-      est.OI.dt_def <- 1.0
-    end;
-    t.mf.last_time <- time;
-    t.next_tick <- t.next_tick + 1;
-    OI.update_signals t.sg snapshot;
-    (* Machines first: guards see pre-step modes, the formula post-step
-       modes — the same convention as the boolean kernels. *)
-    let nmach = Array.length t.machines in
-    if nmach > 0 then begin
-      for j = 0 to nmach - 1 do
-        t.pre_modes.(j) <- State_machine.current t.machines.(j)
-      done;
-      for j = 0 to nmach - 1 do
-        ignore
-          (State_machine.step t.machines.(j) ~mode_lookup:t.pre_lookup snapshot)
-      done;
-      for j = 0 to nmach - 1 do
-        t.post_modes.(j) <- State_machine.current t.machines.(j)
-      done
-    end;
-    pring_push t.proot time;
-    radvance t.env t.root time;
+    pring_push t.proot snapshot.Snapshot.time;
+    advance_nodes t.bcore t.env t.rexec t.rhubs snapshot;
     Obs.incr m_ticks_online_robust;
-    let n = t.root.rout.blen in
-    for _ = 1 to n do
-      pring_pop t.proot
-    done;
-    t.reported <- n;
-    n
+    settle t
 
   let finalize_resolved t =
-    if t.finalized then invalid_arg "Robust.Online.finalize: already finalized";
-    t.finalized <- true;
-    rbuf_consume t.root.rout t.reported;
-    t.reported <- 0;
-    rfinalize t.root;
-    let n = t.root.rout.blen in
-    for _ = 1 to n do
-      pring_pop t.proot
-    done;
-    t.reported <- n;
-    n
+    core_finalize ~who:"Robust.Online.finalize" t.core;
+    (* Retire the last step's batch; what remains is the final one. *)
+    rbuf_consume t.root t.reported;
+    settle t
 
   let check_resolved_index t i =
     if i < 0 || i >= t.reported then
@@ -1175,33 +1313,33 @@ module Online = struct
 
   let resolved_tick t i =
     check_resolved_index t i;
-    t.root.rout.bbase + i
+    t.root.bbase + i
 
   let resolved_time t i =
     check_resolved_index t i;
-    t.root.rout.bt.(rbuf_phys t.root.rout i)
+    t.root.bt.(rbuf_phys t.root i)
 
   let resolved_lo t i =
     check_resolved_index t i;
-    t.root.rout.bl.(rbuf_phys t.root.rout i)
+    t.root.bl.(rbuf_phys t.root i)
 
   let resolved_hi t i =
     check_resolved_index t i;
-    t.root.rout.bh.(rbuf_phys t.root.rout i)
+    t.root.bh.(rbuf_phys t.root i)
 
   let resolved_get t i =
     check_resolved_index t i;
-    let o = t.root.rout in
+    let o = t.root in
     let j = rbuf_phys o i in
     { tick = o.bbase + i;
       time = o.bt.(j);
       bounds = { lo = o.bl.(j); hi = o.bh.(j) } }
 
   let batch_list t n =
-    let rec build i acc =
-      if i < 0 then acc else build (i - 1) (resolved_get t i :: acc)
+    let rec collect i acc =
+      if i < 0 then acc else collect (i - 1) (resolved_get t i :: acc)
     in
-    build (n - 1) []
+    collect (n - 1) []
 
   let step t snapshot = batch_list t (step_resolved t snapshot)
 
@@ -1214,7 +1352,7 @@ module Online = struct
         (resolved_hi t i)
     done
 
-  let pending t = t.proot.plen + (t.root.rout.blen - t.reported)
+  let pending t = t.proot.plen + (t.root.blen - t.reported)
 
   (* Sound bracketing interval for one unresolved tick: what is already
      known from resolved subresults, widened where the future can still
@@ -1229,6 +1367,7 @@ module Online = struct
     else
       match nd.rkind with
       | R_leaf _ -> (Float.neg_infinity, Float.infinity)
+      | R_tap tap -> node_bounds tap.r_src tick time
       | R_not c ->
         let l, h = node_bounds c tick time in
         (-.h, -.l)
@@ -1248,8 +1387,8 @@ module Online = struct
         let mb = OI.out_base w_mask and ml = OI.out_len w_mask in
         if tick >= mb && tick < mb + ml then begin
           match OI.out_verdict w_mask (tick - mb) with
-          | Verdict.Unknown -> (Float.neg_infinity, Float.infinity)
-          | Verdict.True | Verdict.False -> node_bounds w_body tick time
+          | Verdict.True -> (Float.neg_infinity, Float.infinity)
+          | Verdict.False | Verdict.Unknown -> node_bounds w_body tick time
         end
         else (Float.neg_infinity, Float.infinity)
       | R_temporal tp ->
@@ -1289,19 +1428,49 @@ module Online = struct
         end
 
   let pending_bounds t =
-    let first = t.next_tick - t.proot.plen in
+    let first = OI.core_ticks t.bcore - t.proot.plen in
     let out = ref [] in
     for i = t.proot.plen - 1 downto 0 do
       let time = t.proot.pv.(pring_phys t.proot i) in
-      let l, h = node_bounds t.root (first + i) time in
+      let l, h = node_bounds t.core.outs.(0) (first + i) time in
       out :=
         { tick = first + i; time; bounds = { lo = l; hi = h } } :: !out
     done;
     !out
 
-  let modes t =
-    Array.to_list
-      (Array.mapi
-         (fun j rt -> (t.machine_names.(j), State_machine.current rt))
-         t.machines)
+  let modes t = OI.core_modes t.bcore 0
+
+  (* Whole-plan monitor --------------------------------------------------- *)
+
+  module Fused = struct
+    type t = core
+
+    let create = core_create
+
+    let rule_count t = Array.length t.outs
+
+    (* Drain every rule's report ring through [f], then retire it. *)
+    let report t f =
+      for r = 0 to Array.length t.outs - 1 do
+        let o = (Array.unsafe_get t.outs r).rout in
+        let k = o.blen in
+        if k > 0 then begin
+          for i = 0 to k - 1 do
+            let j = rbuf_phys o i in
+            f r (o.bbase + i) o.bt.(j) o.bl.(j) o.bh.(j)
+          done;
+          rbuf_consume o k
+        end
+      done
+
+    let step_iter (t : t) snapshot f =
+      OI.core_check ~who:"Robust.Online.step" t.bcore snapshot;
+      core_advance t snapshot;
+      Obs.add m_ticks_online_robust (Array.length t.outs);
+      report t f
+
+    let finalize_iter t f =
+      core_finalize ~who:"Robust.Online.finalize" t;
+      report t f
+  end
 end

@@ -24,12 +24,13 @@
     Three kernels mirror the boolean ones and are differentially tested
     tick-for-tick against each other ([test/test_differential.ml]):
 
-    - {!eval_columns} — columnar array passes; sliding windows in
+    - {!eval_plan} (and {!eval_columns} on a one-root plan) — columnar
+      array passes over a whole-spec {!Plan}; sliding windows in
       amortised O(1) per tick via monotonic-wedge deques (the min/max
       generalisation of the boolean three-counter window).
     - {!Naive} — the executable definition: per-tick window re-scan.
-    - {!Online} — incremental; per-operator [[lo, hi]] intervals shrink
-      tick by tick and collapse at trace end.
+    - {!Online} — incremental over a {!Plan}; per-operator [[lo, hi]]
+      intervals shrink tick by tick and collapse at trace end.
 
     NaN follows the IEEE analysis the linter performs on comparisons: a
     NaN operand makes the {e margin} meaningless, so the atom falls back
@@ -103,6 +104,14 @@ val eval_columns :
 (** The fast path with the stream transposition amortised across rules,
     as {!Offline.eval_columns}. *)
 
+val eval_plan :
+  Plan.t -> Monitor_trace.Snapshot.t array -> Monitor_trace.Columns.t ->
+  outcome array
+(** Robustness bounds for every rule of a plan in one pass, as
+    {!Offline.eval_plan}.  Warm-up triggers are evaluated boolean over
+    the same DAG, so the suppressed tick sets coincide with the boolean
+    pass. *)
+
 val severity_values :
   Spec.t -> Monitor_trace.Columns.t -> float option array option
 (** Per-tick [|severity|] when the spec declares a severity expression
@@ -111,37 +120,6 @@ val severity_values :
     algebra the oracle's episode ranking is defined on; the oracle
     delegates here so the legacy [?severity] column and the robustness
     ranking cannot drift apart. *)
-
-(** {2 Subterm evaluation for the plan executor}
-
-    {!Plan_exec} evaluates a hash-consed whole-spec DAG node by node;
-    these are the same primitives {!eval_columns} composes internally,
-    exposed so the fused pass is the per-rule kernel's code run in a
-    different order, not a reimplementation. *)
-
-type scan_scratch
-(** Reusable deque storage for {!window_scan} — one per traversal, so a
-    fused pass over many rules allocates the wedges once. *)
-
-val scratch_make : unit -> scan_scratch
-
-val window_scan :
-  scan_scratch -> float array -> float array * float array ->
-  lo_off:float -> hi_off:float -> sem:Window.sem ->
-  float array * float array
-(** Sliding inf/sup aggregation of the child's [(lo, hi)] columns over
-    the window [[t_k + lo_off, t_k + hi_off]], in amortised O(1) per
-    tick.  Allocates fresh output columns and never mutates the child —
-    safe over memoized, shared columns.  The output shares one physical
-    array for both bounds iff the child does and every window is
-    complete. *)
-
-val leaf_columns :
-  mode_arr:(string -> string array option) ->
-  Monitor_trace.Columns.t -> Formula.t -> float array * float array
-(** Columnar [(lo, hi)] bounds of one atom: signed margins for
-    comparisons (see {!margin}), the boolean embedding for the
-    remaining atoms.  Point results share one physical array. *)
 
 (** The naive reference — the semantics of record for robustness, the
     same way {!Offline.Naive} is for verdicts.  Per-tick window
@@ -160,11 +138,13 @@ type bool_shared = Online.shared
     snapshot stream, paying the per-tick refresh once. *)
 
 module Online : sig
-  (** The incremental robust kernel: same flat-state substrate as the
-      boolean {!Online} (shared signal slots, slot-compiled
-      expressions, ring-buffered operator state; memory bounded by
-      window sizes, never trace length), producing per-tick robustness
-      {!bounds} instead of verdicts.
+  (** The incremental robust kernel: a one-root plan executor on the
+      same flat-state substrate as the boolean {!Online} (shared signal
+      slots, slot-compiled expressions, ring-buffered operator state;
+      memory bounded by window sizes, never trace length), producing
+      per-tick robustness {!bounds} instead of verdicts.  Warm-up
+      triggers run as boolean plan nodes, advanced exactly as
+      {!Online.Fused} advances them.
 
       Resolved intervals are exactly {!eval_columns}'s.  Before a tick
       resolves, {!pending_bounds} reports a sound interval for it —
@@ -228,4 +208,32 @@ module Online : sig
 
   val modes : t -> (string * string) list
   (** Current (post-step) state of each machine. *)
+
+  (** One incremental robust monitor over a whole-spec {!Plan}, the
+      robust counterpart of {!Online.Fused}: subterms shared across
+      rules advance once per tick, shared nodes are read through taps,
+      and every rule's resolved intervals — values and resolution timing
+      — are exactly a one-root {!create} monitor's. *)
+  module Fused : sig
+    type t
+
+    val create : ?shared:bool_shared -> Plan.t -> t
+    (** [?shared] must cover every signal of every rule in the plan. *)
+
+    val rule_count : t -> int
+
+    val step_iter :
+      t -> Monitor_trace.Snapshot.t ->
+      (int -> int -> float -> float -> float -> unit) -> unit
+    (** [step_iter t snap f] feeds the next snapshot (strictly increasing
+        times; @raise Invalid_argument otherwise) and calls
+        [f rule tick time lo hi] for every newly final tick of every
+        rule — per rule oldest first, rules in [plan.specs] order. *)
+
+    val finalize_iter :
+      t -> (int -> int -> float -> float -> float -> unit) -> unit
+    (** End of log: collapses every still-pending obligation and reports
+        it as {!step_iter} does.  The monitor must not be stepped
+        afterwards. *)
+  end
 end

@@ -137,45 +137,14 @@ let record_outcome_metrics (o : rule_outcome) =
       o.availability
   end
 
-(* One spec over an array-backed stream.  Callers below convert the
-   snapshot list and transpose it to columns exactly once per trace and
-   share both across every rule, so the per-rule cost is the evaluator
-   itself — O(n) per operator regardless of window width.  [robust]
-   additionally runs the quantitative kernel and records the rule's
+(* Whole-set evaluation through the plan: the rule list is compiled once
+   ({!Mtl.Plan.compile}) and every rule's verdicts come out of a single
+   trace traversal.  Callers convert the snapshot list and transpose it
+   to columns exactly once per trace, so the cost is the executor itself
+   — O(n) per operator regardless of window width.  [robust]
+   additionally runs the quantitative executor and records each rule's
    whole-trace robustness (min over ticks of the upper bound). *)
-let outcome_on_snaps ~robust spec snaps cols =
-  let t_eval = Obs.time_start () in
-  let outcome = Mtl.Offline.eval_columns spec snaps cols in
-  let robustness =
-    if robust then Mtl.Robust.min_upper (Mtl.Robust.eval_columns spec snaps cols)
-    else None
-  in
-  let result =
-    outcome_of_verdicts ?severity:(severity_values spec cols) ?robustness spec
-      ~times:outcome.Mtl.Offline.times outcome.Mtl.Offline.verdicts
-  in
-  if Obs.on () then begin
-    Obs.observe_since
-      (Obs.histogram ~labels:[ ("rule", spec.Mtl.Spec.name) ]
-         ~help:"Wall time of one rule evaluation over one trace"
-         "cps_oracle_rule_eval_seconds")
-      t_eval;
-    Option.iter
-      (Obs.gauge_set
-         (Obs.gauge ~labels:[ ("rule", spec.Mtl.Spec.name) ]
-            ~help:"Whole-trace robustness of the rule (min upper bound)"
-            "cps_oracle_rule_min_robustness"))
-      robustness
-  end;
-  record_outcome_metrics result;
-  result
-
-(* Whole-set evaluation through the fused plan: the rule list is
-   compiled once ({!Mtl.Plan.compile}) and every rule's verdicts come
-   out of a single trace traversal.  The plan executors are
-   verdict-byte-identical to the per-rule kernels (differential suite),
-   so [?plan] only changes the cost, never an outcome. *)
-let outcomes_on_snaps_fused ~robust specs snaps cols =
+let outcomes_on_snaps ~robust specs snaps cols =
   let plan = Mtl.Plan.compile specs in
   let t_eval = Obs.time_start () in
   let outs = Mtl.Plan_exec.eval_columns plan snaps cols in
@@ -206,27 +175,20 @@ let outcomes_on_snaps_fused ~robust specs snaps cols =
       result)
     specs
 
-let check_specs_on_snaps ~robust ~plan specs snaps cols =
-  if plan then outcomes_on_snaps_fused ~robust specs snaps cols
-  else List.map (fun spec -> outcome_on_snaps ~robust spec snaps cols) specs
-
-let check_spec ?preflight ?period ?(robust = false) ?(plan = true) spec trace =
-  Option.iter (fun env -> assert_preflight env [ spec ]) preflight;
-  let snaps = Array.of_list (snapshots_of_trace ?period trace) in
-  let cols = Trace.Columns.of_snapshots snaps in
-  List.hd (check_specs_on_snaps ~robust ~plan [ spec ] snaps cols)
-
-let check ?preflight ?period ?(robust = false) ?(plan = true) specs trace =
+let check ?preflight ?period ?(robust = false) specs trace =
   Option.iter (fun env -> assert_preflight env specs) preflight;
   let snaps = Array.of_list (snapshots_of_trace ?period trace) in
   let cols = Trace.Columns.of_snapshots snaps in
-  check_specs_on_snaps ~robust ~plan specs snaps cols
+  outcomes_on_snaps ~robust specs snaps cols
+
+let check_spec ?preflight ?period ?robust spec trace =
+  List.hd (check ?preflight ?period ?robust [ spec ] trace)
 
 let stale_deadlines ?(k = 3.0) ~periods s =
   Option.map (fun p -> k *. p) (periods s)
 
-let check_stale_aware ?preflight ?period ?k ?hold ?(robust = false)
-    ?(plan = true) ~periods specs trace =
+let check_stale_aware ?preflight ?period ?k ?hold ?(robust = false) ~periods
+    specs trace =
   Option.iter (fun env -> assert_preflight env specs) preflight;
   let staleness = stale_deadlines ?k ~periods in
   let snaps = Array.of_list (snapshots_of_trace ?period ~staleness trace) in
@@ -234,7 +196,7 @@ let check_stale_aware ?preflight ?period ?k ?hold ?(robust = false)
   (* The plan compiles over the wrapped rules, so the warm-up guards are
      part of the DAG and share their trigger subterms too. *)
   let wrapped = List.map (Mtl.Spec.stale_guarded ?hold) specs in
-  check_specs_on_snaps ~robust ~plan wrapped snaps cols
+  outcomes_on_snaps ~robust wrapped snaps cols
 
 let check_online ?preflight ?period ?(robust = false) specs trace =
   Option.iter (fun env -> assert_preflight env specs) preflight;
@@ -252,31 +214,19 @@ let check_online ?preflight ?period ?(robust = false) specs trace =
   in
   List.iter (fun snap -> Mtl.Online.Fused.step_iter fused snap store) snapshots;
   Mtl.Online.Fused.finalize_iter fused store;
-  (* Robustness still streams through the per-rule incremental
-     quantitative kernel (there is no fused robust online path); the
-     signal environment is shared so the per-tick refresh is paid once. *)
+  (* Robustness through one fused incremental robust monitor over the
+     same plan and signal environment: fold each rule's running minimum
+     of the resolved upper bounds as they stream out. *)
   let robustness =
     if not robust || n = 0 then fun _ -> None
     else begin
-      let mins =
-        List.map
-          (fun spec ->
-            let rm = Mtl.Robust.Online.create ~shared spec in
-            let acc = ref Float.infinity in
-            let fold _tick _time _lo hi = if hi < !acc then acc := hi in
-            List.iter
-              (fun snap -> Mtl.Robust.Online.step_iter rm snap fold)
-              snapshots;
-            let rfinal = Mtl.Robust.Online.finalize_resolved rm in
-            for i = 0 to rfinal - 1 do
-              let hi = Mtl.Robust.Online.resolved_hi rm i in
-              if hi < !acc then acc := hi
-            done;
-            Some !acc)
-          specs
-      in
-      let mins = Array.of_list mins in
-      fun r -> mins.(r)
+      let rm = Mtl.Robust.Online.Fused.create ~shared plan in
+      let mins = Array.make nr Float.infinity in
+      let fold r _tick _time _lo hi = if hi < mins.(r) then mins.(r) <- hi in
+      List.iter (fun snap -> Mtl.Robust.Online.Fused.step_iter rm snap fold)
+        snapshots;
+      Mtl.Robust.Online.Fused.finalize_iter rm fold;
+      fun r -> Some mins.(r)
     end
   in
   let cols = Trace.Columns.of_snapshots (Array.of_list snapshots) in
@@ -290,55 +240,7 @@ let check_online ?preflight ?period ?(robust = false) specs trace =
       result)
     specs
 
-let check_spec_online ?preflight ?period ?(robust = false) spec trace =
-  Option.iter (fun env -> assert_preflight env [ spec ]) preflight;
-  let snapshots = snapshots_of_trace ?period trace in
-  let n = List.length snapshots in
-  let monitor = Mtl.Online.create spec in
-  let times = Array.make n 0.0 in
-  let verdicts = Array.make n Mtl.Verdict.Unknown in
-  (* Ticks resolve in order with no gaps, so each batch entry's tick is
-     its destination index — no sort, no intermediate lists. *)
-  let store tick time verdict =
-    times.(tick) <- time;
-    verdicts.(tick) <- verdict
-  in
-  List.iter
-    (fun snap -> Mtl.Online.step_iter monitor snap store)
-    snapshots;
-  let final = Mtl.Online.finalize_resolved monitor in
-  for i = 0 to final - 1 do
-    store
-      (Mtl.Online.resolved_tick monitor i)
-      (Mtl.Online.resolved_time monitor i)
-      (Mtl.Online.resolved_verdict monitor i)
-  done;
-  (* Robustness through the incremental quantitative kernel, staying
-     true to the constant-memory evaluation path: fold the minimum of
-     the resolved upper bounds as they stream out. *)
-  let robustness =
-    if not robust || n = 0 then None
-    else begin
-      let rm = Mtl.Robust.Online.create spec in
-      let acc = ref Float.infinity in
-      let fold _tick _time _lo hi = if hi < !acc then acc := hi in
-      List.iter (fun snap -> Mtl.Robust.Online.step_iter rm snap fold) snapshots;
-      let rfinal = Mtl.Robust.Online.finalize_resolved rm in
-      for i = 0 to rfinal - 1 do
-        let hi = Mtl.Robust.Online.resolved_hi rm i in
-        if hi < !acc then acc := hi
-      done;
-      Some !acc
-    end
-  in
-  let result =
-    outcome_of_verdicts
-      ?severity:
-        (severity_values spec
-           (Trace.Columns.of_snapshots (Array.of_list snapshots)))
-      ?robustness spec ~times verdicts
-  in
-  record_outcome_metrics result;
-  result
+let check_spec_online ?preflight ?period ?robust spec trace =
+  List.hd (check_online ?preflight ?period ?robust [ spec ] trace)
 
 let status_letter = function Satisfied -> "S" | Violated -> "V"

@@ -51,7 +51,7 @@ val snapshots_of_trace :
 
 val check_spec :
   ?preflight:Monitor_analysis.Speclint.env ->
-  ?period:float -> ?robust:bool -> ?plan:bool ->
+  ?period:float -> ?robust:bool ->
   Monitor_mtl.Spec.t -> Monitor_trace.Trace.t -> rule_outcome
 (** Offline evaluation over the whole log — the paper's workflow.
 
@@ -62,26 +62,18 @@ val check_spec :
 
     [robust] (default false) additionally evaluates the rule on the
     quantitative kernel ({!Monitor_mtl.Robust}) and fills the outcome's
-    [robustness] field — the input to severity-ranked reporting.
-
-    [plan] (default true) evaluates through the fused whole-spec plan
-    ({!Monitor_mtl.Plan} / {!Monitor_mtl.Plan_exec}): the rule set is
-    hash-consed into one shared DAG and every rule comes out of a single
-    trace traversal.  The plan executors are verdict-byte-identical to
-    the per-rule kernels (differential suite, boolean and robust), so
-    the flag only changes the cost, never an outcome; [~plan:false]
-    keeps the historical one-kernel-per-rule path. *)
+    [robustness] field — the input to severity-ranked reporting. *)
 
 val check :
   ?preflight:Monitor_analysis.Speclint.env ->
-  ?period:float -> ?robust:bool -> ?plan:bool ->
+  ?period:float -> ?robust:bool ->
   Monitor_mtl.Spec.t list -> Monitor_trace.Trace.t -> rule_outcome list
-(** The snapshot stream is cut once and shared, array-backed, across every
-    rule ({!Monitor_mtl.Offline.eval_array}); each rule then costs O(n)
-    per operator in trace length, independent of its window widths.
-    [preflight], [robust] and [plan] as in {!check_spec} — with [plan]
-    (the default) shared subterms across rules are additionally
-    evaluated once per traversal instead of once per rule. *)
+(** The snapshot stream is cut and transposed to columns once, and the
+    rule set is compiled into one whole-spec plan ({!Monitor_mtl.Plan},
+    run by {!Monitor_mtl.Plan_exec}): every rule comes out of a single
+    trace traversal, subterms shared across rules evaluated once, each
+    operator O(n) in trace length independent of its window widths.
+    [preflight] and [robust] as in {!check_spec}. *)
 
 val stale_deadlines :
   ?k:float -> periods:(string -> float option) -> string -> float option
@@ -95,7 +87,7 @@ val stale_deadlines :
 
 val check_stale_aware :
   ?preflight:Monitor_analysis.Speclint.env ->
-  ?period:float -> ?k:float -> ?hold:float -> ?robust:bool -> ?plan:bool ->
+  ?period:float -> ?k:float -> ?hold:float -> ?robust:bool ->
   periods:(string -> float option) -> Monitor_mtl.Spec.t list ->
   Monitor_trace.Trace.t -> rule_outcome list
 (** Degraded-mode evaluation: a signal with no fresh sample within
@@ -111,9 +103,10 @@ val check_spec_online :
   ?preflight:Monitor_analysis.Speclint.env ->
   ?period:float -> ?robust:bool ->
   Monitor_mtl.Spec.t -> Monitor_trace.Trace.t -> rule_outcome
-(** Same verdicts through the constant-memory online monitor; [robust]
-    streams the incremental quantitative kernel alongside and folds the
-    running minimum of its resolved upper bounds. *)
+(** Same verdicts through the constant-memory online monitor
+    ({!check_online} on the one rule); [robust] streams the incremental
+    quantitative executor alongside and folds the running minimum of its
+    resolved upper bounds. *)
 
 val check_online :
   ?preflight:Monitor_analysis.Speclint.env ->
@@ -123,8 +116,9 @@ val check_online :
     ({!Monitor_mtl.Online.Fused}): a single pass per tick advances every
     rule, with subterms shared across rules advanced once.  Verdict
     streams are byte-identical to per-rule {!check_spec_online} runs.
-    [robust] streams the per-rule incremental quantitative kernel over a
-    shared signal environment (there is no fused robust online path). *)
+    [robust] streams one fused incremental robust monitor
+    ({!Monitor_mtl.Robust.Online.Fused}) over the same plan and signal
+    environment. *)
 
 val status_letter : status -> string
 (** ["S"] or ["V"] — Table I notation. *)

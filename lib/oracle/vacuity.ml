@@ -15,34 +15,57 @@ type t = {
 
 let premises = Mtl.Formula.guard_premises
 
-let analyze_snapshots (spec : Mtl.Spec.t) snapshots =
-  let guards =
-    List.map
-      (fun premise ->
-        (* Evaluate the premise as its own spec (it may use the machines). *)
-        let premise_spec =
-          Mtl.Spec.make ~machines:spec.Mtl.Spec.machines
-            ~name:(spec.Mtl.Spec.name ^ "_premise") premise
-        in
-        let outcome = Mtl.Offline.eval premise_spec snapshots in
-        let count v = Mtl.Offline.count outcome.Mtl.Offline.verdicts v in
-        { premise;
-          armed_ticks = count Mtl.Verdict.True;
-          unknown_ticks = count Mtl.Verdict.Unknown;
-          total_ticks = Array.length outcome.Mtl.Offline.verdicts })
-      (premises spec.Mtl.Spec.formula)
+(* Every premise of every spec evaluated as its own rule (it may use the
+   spec's machines) of one plan, over one column transposition. *)
+let analyze_all specs snaps =
+  let premise_specs =
+    List.concat_map
+      (fun (spec : Mtl.Spec.t) ->
+        List.map
+          (Mtl.Spec.make ~machines:spec.Mtl.Spec.machines
+             ~name:(spec.Mtl.Spec.name ^ "_premise"))
+          (premises spec.Mtl.Spec.formula))
+      specs
   in
-  { spec;
-    guards;
-    vacuous =
-      guards <> [] && List.for_all (fun g -> g.armed_ticks = 0) guards }
+  let outcomes =
+    if premise_specs = [] then [||]
+    else
+      Mtl.Plan_exec.eval_columns
+        (Mtl.Plan.compile premise_specs)
+        snaps
+        (Monitor_trace.Columns.of_snapshots snaps)
+  in
+  let guard (o : Mtl.Offline.outcome) premise =
+    let count v = Mtl.Offline.count o.Mtl.Offline.verdicts v in
+    { premise;
+      armed_ticks = count Mtl.Verdict.True;
+      unknown_ticks = count Mtl.Verdict.Unknown;
+      total_ticks = Array.length o.Mtl.Offline.verdicts }
+  in
+  snd
+    (List.fold_left_map
+       (fun next (spec : Mtl.Spec.t) ->
+         let guards =
+           List.mapi
+             (fun i premise -> guard outcomes.(next + i) premise)
+             (premises spec.Mtl.Spec.formula)
+         in
+         ( next + List.length guards,
+           { spec;
+             guards;
+             vacuous =
+               guards <> []
+               && List.for_all (fun g -> g.armed_ticks = 0) guards } ))
+       0 specs)
+
+let analyze_snapshots spec snapshots =
+  List.hd (analyze_all [ spec ] (Array.of_list snapshots))
 
 let analyze ?period spec trace =
   analyze_snapshots spec (Oracle.snapshots_of_trace ?period trace)
 
 let analyze_many ?period specs trace =
-  let snapshots = Oracle.snapshots_of_trace ?period trace in
-  List.map (fun spec -> analyze_snapshots spec snapshots) specs
+  analyze_all specs (Array.of_list (Oracle.snapshots_of_trace ?period trace))
 
 let total_ticks t =
   match t.guards with [] -> 0 | g :: _ -> g.total_ticks

@@ -31,9 +31,11 @@ val analyze_snapshots :
 
 val analyze_many :
   ?period:float -> Monitor_mtl.Spec.t list -> Monitor_trace.Trace.t -> t list
-(** One report per spec; the snapshot stream is cut once and shared, so
-    adding coverage accounting to a campaign costs one premise evaluation
-    per guard rather than one trace conversion per rule. *)
+(** One report per spec.  The snapshot stream is cut and transposed
+    once, and every premise of every spec is evaluated as one rule of a
+    single plan ({!Monitor_mtl.Plan_exec}), so adding coverage accounting
+    to a campaign costs one shared plan pass rather than one trace
+    conversion per premise. *)
 
 val armed_ticks : t -> int
 (** Ticks where at least one guard was armed, approximated from the

@@ -57,6 +57,10 @@ let snapshots ?staleness trace ~period =
   match Trace.start_time trace, Trace.end_time trace with
   | None, _ | _, None -> []
   | Some t0, Some t_end ->
+    (* Records are time-ordered, so finite ends bound every time but a
+       NaN, which stops the absorb loop short and is caught below. *)
+    if not (Float.is_finite t0 && Float.is_finite t_end) then
+      invalid_arg "Multirate.snapshots: non-finite record time";
     let states = Hashtbl.create 16 in
     let out = ref [] in
     let n = Trace.length trace in
@@ -73,6 +77,8 @@ let snapshots ?staleness trace ~period =
       out := cut ?staleness states t_cut :: !out;
       if t_cut >= t_end -. eps then continue := false else incr tick
     done;
+    if !idx < n && Float.is_nan (Trace.get trace !idx).Record.time then
+      invalid_arg "Multirate.snapshots: non-finite record time";
     List.rev !out
 
 (* Incremental form of [snapshots]: the same cut-at-tick-boundaries pass,
@@ -134,7 +140,14 @@ module Feed = struct
         cut_one t emit (next_cut_time t t0)
       done
 
+  (* Every tick before an infinite horizon is due: refuse instead of
+     cutting forever. *)
+  let check_finite who time =
+    if not (Float.is_finite time) then
+      invalid_arg ("Multirate.Feed." ^ who ^ ": non-finite time")
+
   let observe t ~time updates emit =
+    check_finite "observe" time;
     (match t.f_t0 with
     | None -> t.f_t0 <- Some time
     | Some _ -> cut_until t ~horizon:time emit);
@@ -144,7 +157,9 @@ module Feed = struct
         absorb t.f_states { Record.time; name; value })
       updates
 
-  let advance t ~upto emit = cut_until t ~horizon:upto emit
+  let advance t ~upto emit =
+    check_finite "advance" upto;
+    cut_until t ~horizon:upto emit
 
   let drain t emit =
     match t.f_t0 with

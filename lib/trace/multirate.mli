@@ -23,7 +23,8 @@ val snapshots :
     is marked {!Snapshot.entry.stale}; [None] (and the default policy)
     means the signal never goes stale, which preserves the historical
     hold-last-value semantics.
-    @raise Invalid_argument if [period <= 0]. *)
+    @raise Invalid_argument if [period <= 0] or a record time is not
+    finite (an infinite end would mean infinitely many ticks). *)
 
 (** {2 Incremental (streaming) snapshot construction}
 
@@ -52,14 +53,17 @@ module Feed : sig
       the first record of a trace does.  Observations are expected in
       non-decreasing time order; a late observation is not fatal — it is
       simply held and surfaces at the next cut (degraded input, not an
-      error). *)
+      error).
+      @raise Invalid_argument if [time] is not finite: every tick before
+      an infinite time would be due. *)
 
   val advance : t -> upto:float -> (Snapshot.t -> unit) -> unit
   (** Cut every tick completed by the clock reaching [upto] without
       recording any observation — the watchdog path: a silent stream's
       held signals age past their staleness deadlines and its verdicts
       degrade to Unknown instead of stalling.  No-op before the first
-      {!observe} (no origin, no ticks). *)
+      {!observe} (no origin, no ticks).
+      @raise Invalid_argument if [upto] is not finite. *)
 
   val drain : t -> (Snapshot.t -> unit) -> unit
   (** End of stream: cut the final tick(s) using the offline stopping

@@ -179,6 +179,34 @@ let test_crash_isolation () =
       end)
     summary.Fleet.sessions
 
+(* A frame stamped at an infinite time would have the session's feed cut
+   ticks forever; the feed refuses it, so the session is quarantined and
+   its shard keeps serving the others. *)
+let test_non_finite_time_quarantines () =
+  let victim = vin 3 in
+  let schedules =
+    List.init 6 (fun i ->
+        let sched = schedule ~seed:9L ~session:i ~ticks:20 in
+        let stamp k (t, u) = ((if k = 10 then infinity else t), u) in
+        (vin i, if vin i = victim then List.mapi stamp sched else sched))
+  in
+  let config =
+    { (Fleet.default_config ~specs) with
+      overload = Fleet.Block;
+      max_restarts = 0 }
+  in
+  let summary, delivered_of = run_fleet ~config ~schedules () in
+  (match (find_session summary victim).Fleet.s_disposition with
+  | Fleet.Evicted_faulted f ->
+    Alcotest.(check bool) "non-finite time named" true
+      (Test_obs.contains ~needle:"non-finite" f.Fleet.f_exn)
+  | _ -> Alcotest.fail "victim should be evicted for its infinite time");
+  List.iter
+    (fun (row : Fleet.session_summary) ->
+      if row.Fleet.s_vin <> victim then
+        check_matches_isolated row (delivered_of row.Fleet.s_vin))
+    summary.Fleet.sessions
+
 (* A crashed session restarts after its deterministic backoff and is
    served to the end; the fault stays on the record. *)
 let test_restart_after_backoff () =
@@ -502,6 +530,8 @@ let suite =
         Alcotest.test_case "parallel run renders identically" `Quick
           test_parallel_matches_sequential;
         Alcotest.test_case "crash isolation" `Quick test_crash_isolation;
+        Alcotest.test_case "non-finite frame time quarantines" `Quick
+          test_non_finite_time_quarantines;
         Alcotest.test_case "restart after backoff" `Quick
           test_restart_after_backoff;
         Alcotest.test_case "eviction after restart budget" `Quick

@@ -132,14 +132,24 @@ let test_candump_line_format () =
   Alcotest.(check string) "canonical line" "(1.250000) can0 123#DEAD"
     (Candump.frame_to_line ~time:1.25 frame)
 
+(* Every rejection is located.  float_of_string and int_of_string accept
+   far more than candump prints: "inf"/"nan" (one infinite timestamp used
+   to hang the snapshot cut) and OCaml literal syntax, under which the
+   last line read as t = 10.5, id 0x12. *)
 let test_candump_errors () =
   List.iter
     (fun line ->
       match Candump.of_string line with
-      | Error _ -> ()
+      | Error msg ->
+        Alcotest.(check bool) ("located error for " ^ line) true
+          (String.length msg > 7 && String.sub msg 0 7 = "line 1:")
       | Ok _ -> Alcotest.fail ("should reject: " ^ line))
     [ "123#DEAD\n"; "(abc) can0 123#DEAD\n"; "(1.0) can0 123#DEA\n";
-      "(1.0) can0 XYZ#DEAD\n" ]
+      "(1.0) can0 XYZ#DEAD\n"; "(inf) can0 100#00\n"; "(nan) can0 100#00\n";
+      "(-inf) can0 100#00\n"; "(0x1p3) can0 123#DEAD\n";
+      "(1e3) can0 123#DEAD\n"; "(1.0) can0 1_2#DEAD\n";
+      "(1.0) can0 123#0_\n"; "(1.0) can0 0x12#DEAD\n";
+      "(1_0.5) can0 1_2#0_\n" ]
 
 let test_candump_lenient () =
   let text =

@@ -9,7 +9,7 @@ let () =
    @ Test_plan.suite
    @ Test_rewrite.suite
    @ Test_spec_file.suite
-   @ Test_formats.suite @ Test_monitor_set.suite @ Test_build.suite
+   @ Test_formats.suite @ Test_build.suite
    @ Test_analyze.suite @ Test_bus_errors.suite @ Test_vehicle.suite
    @ Test_fsracc.suite @ Test_hil.suite @ Test_inject.suite
    @ Test_oracle.suite @ Test_vacuity.suite @ Test_speclint.suite

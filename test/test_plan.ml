@@ -1,8 +1,14 @@
 (* Whole-spec plan: hash-consing unit tests plus the differential
-   property the fused executors must satisfy — byte-identical verdicts
-   (boolean) and bit-identical bounds (robust) against the per-rule
-   kernels, over random multi-rule spec files × random multirate traces
-   × channel faults, shrinking to a minimal spec.
+   properties the plan executors must satisfy over random multi-rule
+   spec files × random multirate traces × channel faults, shrinking to a
+   minimal spec:
+
+   - every whole-plan executor (columnar and incremental, boolean and
+     robust) assigns each rule the naive reference's verdicts and bounds
+     ({!Offline.Naive}, {!Robust.Naive});
+   - the incremental executors are batch-identical to one one-root plan
+     per rule: sharing subterms across rules changes no value and no
+     resolution tick.
 
    Reuses Test_differential's generators: a plan case is simply several
    differential formulas over one generated trace. *)
@@ -133,29 +139,89 @@ let verdicts_agree (a : Offline.outcome) (b : Offline.outcome) =
   && Array.for_all2 (fun (x : float) y -> x = y) a.Offline.times b.Offline.times
   && Array.for_all2 Verdict.equal a.Offline.verdicts b.Offline.verdicts
 
-(* Robust bounds must agree bit for bit: the fused executor runs the same
-   float expressions in the same order as the per-rule kernel, so even
-   signed zeros and association artefacts are identical. *)
+let robust_agree (a : Robust.outcome) (b : Robust.outcome) =
+  Test_differential.robust_agree
+    (a.Robust.times, a.Robust.lo, a.Robust.hi)
+    (b.Robust.times, b.Robust.lo, b.Robust.hi)
+
+(* Run both incremental whole-plan executors over the stream and collect
+   each rule's resolutions by tick. *)
+let online_outcomes specs snapshots =
+  let plan = Plan.compile specs in
+  let nr = Plan.rule_count plan and n = List.length snapshots in
+  let shared = Online.shared_for specs in
+  let fused = Online.Fused.create ~shared plan in
+  let rfused = Robust.Online.Fused.create ~shared plan in
+  let times = Array.init nr (fun _ -> Array.make n Float.nan) in
+  let verdicts = Array.init nr (fun _ -> Array.make n Verdict.Unknown) in
+  let rtimes = Array.init nr (fun _ -> Array.make n Float.nan) in
+  let lo = Array.init nr (fun _ -> Array.make n Float.nan) in
+  let hi = Array.init nr (fun _ -> Array.make n Float.nan) in
+  let store r tick time v =
+    times.(r).(tick) <- time;
+    verdicts.(r).(tick) <- v
+  in
+  let rstore r tick time l h =
+    rtimes.(r).(tick) <- time;
+    lo.(r).(tick) <- l;
+    hi.(r).(tick) <- h
+  in
+  List.iter
+    (fun snap ->
+      Online.Fused.step_iter fused snap store;
+      Robust.Online.Fused.step_iter rfused snap rstore)
+    snapshots;
+  Online.Fused.finalize_iter fused store;
+  Robust.Online.Fused.finalize_iter rfused rstore;
+  Array.init nr (fun r ->
+      ( { Offline.times = times.(r); verdicts = verdicts.(r); modes = [] },
+        { Robust.times = rtimes.(r); lo = lo.(r); hi = hi.(r) } ))
+
+(* Every whole-plan executor against the naive references, rule by
+   rule: columnar verdicts byte-identical, bounds within the ulp the
+   naive fold's association allows (see Test_differential). *)
+let naive_agrees specs snapshots =
+  let snaps = Array.of_list snapshots in
+  let cols = Columns.of_snapshots snaps in
+  let plan = Plan.compile specs in
+  let columnar = Plan_exec.eval_columns plan snaps cols in
+  let columnar_r = Plan_exec.eval_columns_robust plan snaps cols in
+  let online = online_outcomes specs snapshots in
+  List.for_all
+    (fun (r, spec) ->
+      let naive = Offline.Naive.eval_array spec snaps in
+      let naive_r = Robust.Naive.eval_array spec snaps in
+      let online_b, online_r = online.(r) in
+      verdicts_agree naive columnar.(r)
+      && robust_agree naive_r columnar_r.(r)
+      && Array.for_all2 Verdict.equal naive.Offline.verdicts
+           online_b.Offline.verdicts
+      && robust_agree naive_r online_r)
+    (List.mapi (fun r spec -> (r, spec)) specs)
+
+(* Robust bounds of the two incremental forms must agree bit for bit:
+   both run the same float expressions in the same order. *)
 let bits_equal (a : float) (b : float) =
   Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
-let robust_agree (a : Robust.outcome) (b : Robust.outcome) =
-  Array.length a.Robust.lo = Array.length b.Robust.lo
-  && Array.for_all2 bits_equal a.Robust.lo b.Robust.lo
-  && Array.for_all2 bits_equal a.Robust.hi b.Robust.hi
-
-(* Online: the fused driver must match a dedicated per-rule monitor not
-   just in verdict content but in resolution timing — every step's batch
-   (and the finalize batch) must coincide rule by rule. *)
+(* Incremental batch identity: the whole-plan monitors must match one
+   one-root monitor per rule not just in content but in resolution
+   timing — every step's batch (and the finalize batch) must coincide
+   rule by rule, boolean and robust. *)
 let online_plan_agrees specs snapshots =
   let plan = Plan.compile specs in
   let nr = Array.length plan.Plan.roots in
   let shared = Online.shared_for specs in
   let fused = Online.Fused.create ~shared plan in
+  let rfused = Robust.Online.Fused.create ~shared plan in
   let per_rule = Array.of_list (List.map Online.create specs) in
-  let fused_batch = Array.make nr [] in
+  let per_rule_r = Array.of_list (List.map Robust.Online.create specs) in
+  let fused_batch = Array.make nr [] and rfused_batch = Array.make nr [] in
   let collect r tick time v =
     fused_batch.(r) <- (tick, time, v) :: fused_batch.(r)
+  in
+  let rcollect r tick time l h =
+    rfused_batch.(r) <- (tick, time, l, h) :: rfused_batch.(r)
   in
   let batch_equal got expect =
     List.length got = List.length expect
@@ -166,48 +232,58 @@ let online_plan_agrees specs snapshots =
            && Verdict.equal v r.Online.verdict)
          got expect
   in
+  let rbatch_equal got expect =
+    List.length got = List.length expect
+    && List.for_all2
+         (fun (tick, time, l, h) (r : Robust.Online.resolution) ->
+           tick = r.Robust.Online.tick
+           && Float.equal time r.Robust.Online.time
+           && bits_equal l r.Robust.Online.bounds.Robust.lo
+           && bits_equal h r.Robust.Online.bounds.Robust.hi)
+         got expect
+  in
   let ok = ref true in
-  let check_step step_rule =
+  let check_step step_rule step_rule_r =
     Array.iteri
       (fun r m ->
         if not (batch_equal (List.rev fused_batch.(r)) (step_rule m)) then
           ok := false)
-      per_rule
+      per_rule;
+    Array.iteri
+      (fun r m ->
+        if not (rbatch_equal (List.rev rfused_batch.(r)) (step_rule_r m)) then
+          ok := false)
+      per_rule_r
+  in
+  let reset () =
+    Array.fill fused_batch 0 nr [];
+    Array.fill rfused_batch 0 nr []
   in
   List.iter
     (fun snap ->
-      Array.fill fused_batch 0 nr [];
+      reset ();
       Online.Fused.step_iter fused snap collect;
-      check_step (fun m -> Online.step m snap))
+      Robust.Online.Fused.step_iter rfused snap rcollect;
+      check_step (fun m -> Online.step m snap)
+        (fun m -> Robust.Online.step m snap))
     snapshots;
-  Array.fill fused_batch 0 nr [];
+  reset ();
   Online.Fused.finalize_iter fused collect;
-  check_step Online.finalize;
+  Robust.Online.Fused.finalize_iter rfused rcollect;
+  check_step Online.finalize Robust.Online.finalize;
   !ok
-
-let offline_plan_agrees specs snapshots =
-  let snaps = Array.of_list snapshots in
-  let cols = Columns.of_snapshots snaps in
-  let plan = Plan.compile specs in
-  let fused = Plan_exec.eval_columns plan snaps cols in
-  let fused_r = Plan_exec.eval_columns_robust plan snaps cols in
-  List.for_all2
-    (fun spec (fb, fr) ->
-      verdicts_agree (Offline.eval_columns spec snaps cols) fb
-      && robust_agree (Robust.eval_columns spec snaps cols) fr)
-    specs
-    (List.combine (Array.to_list fused) (Array.to_list fused_r))
 
 let plan_differential_prop =
   QCheck.Test.make
-    ~name:"fused plan = per-rule kernels (boolean + robust)" ~count
+    ~name:"fused plan = per-rule kernels (naive reference, boolean + robust)"
+    ~count
     (QCheck.make ~print:print_plan_case ~shrink:shrink_plan_case gen_plan_case)
-    (fun case ->
-      offline_plan_agrees (specs_of_case case) (snapshots_of_case case))
+    (fun case -> naive_agrees (specs_of_case case) (snapshots_of_case case))
 
 let plan_online_differential_prop =
   QCheck.Test.make
-    ~name:"fused online = per-rule monitors (batch-identical)" ~count
+    ~name:"fused online = per-rule monitors (batch-identical, boolean + robust)"
+    ~count
     (QCheck.make ~print:print_plan_case ~shrink:shrink_plan_case gen_plan_case)
     (fun case ->
       online_plan_agrees (specs_of_case case) (snapshots_of_case case))
@@ -223,7 +299,7 @@ let plan_stale_guarded_prop =
       let snapshots =
         snapshots_of_case { case with staleness = Some 0.015 }
       in
-      offline_plan_agrees specs snapshots && online_plan_agrees specs snapshots)
+      naive_agrees specs snapshots && online_plan_agrees specs snapshots)
 
 (* Machine-bearing rules: per-rule machine state under a fused plan. *)
 let test_plan_with_machines () =
@@ -244,14 +320,14 @@ let test_plan_with_machines () =
         (false, false, -0.5); (true, true, 2.0) ]
   in
   let snapshots = Test_differential.snapshots_of_rows rows in
-  Alcotest.(check bool) "fused = per-rule with machines" true
-    (offline_plan_agrees specs snapshots);
+  Alcotest.(check bool) "fused = naive with machines" true
+    (naive_agrees specs snapshots);
   Alcotest.(check bool) "fused online = per-rule with machines" true
     (online_plan_agrees specs snapshots)
 
 let test_plan_empty_trace () =
   let specs = specs_of_case { formulas = [ parse "x > 0.0" ]; rows = []; staleness = None } in
-  Alcotest.(check bool) "empty trace" true (offline_plan_agrees specs []);
+  Alcotest.(check bool) "empty trace" true (naive_agrees specs []);
   Alcotest.(check bool) "empty trace online" true (online_plan_agrees specs [])
 
 let suite =

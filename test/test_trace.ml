@@ -262,6 +262,35 @@ let feed_equiv_prop =
           (String.concat "\n" offline) (String.concat "\n" online);
       true)
 
+(* A non-finite time means infinitely many ticks to cut: both cutters
+   refuse it instead of looping (the fleet then quarantines the session
+   rather than hanging its shard). *)
+let test_non_finite_times_rejected () =
+  let raises what f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.fail (what ^ " accepted a non-finite time")
+  in
+  List.iter
+    (fun bad ->
+      raises "snapshots" (fun () ->
+          Multirate.snapshots ~period:0.01
+            (Trace.of_list [ rcd 0.0 "a" (fl 1.0); rcd bad "a" (fl 2.0) ]));
+      let feed = Multirate.Feed.create ~period:0.01 () in
+      Multirate.Feed.observe feed ~time:0.0 [ ("a", fl 1.0) ] ignore;
+      raises "Feed.observe" (fun () ->
+          Multirate.Feed.observe feed ~time:bad [ ("a", fl 2.0) ] ignore);
+      raises "Feed.advance" (fun () ->
+          Multirate.Feed.advance feed ~upto:bad ignore))
+    [ Float.infinity; Float.nan ];
+  (* A NaN in the middle of a trace stops the absorb loop; it must not
+     silently drop the records behind it. *)
+  let t = Trace.create () in
+  List.iter (Trace.append t)
+    [ rcd 0.0 "a" (fl 1.0); rcd Float.nan "a" (fl 2.0); rcd 0.05 "a" (fl 3.0) ];
+  raises "snapshots (NaN inside)" (fun () ->
+      Multirate.snapshots ~period:0.01 t)
+
 let suite =
   [ ( "trace",
       [ Alcotest.test_case "append order" `Quick test_append_order;
@@ -282,6 +311,8 @@ let suite =
         Alcotest.test_case "csv errors" `Quick test_csv_errors;
         Alcotest.test_case "feed matches snapshots" `Quick
           test_feed_matches_snapshots_sample;
+        Alcotest.test_case "non-finite times rejected" `Quick
+          test_non_finite_times_rejected;
         Alcotest.test_case "feed advance watchdog" `Quick
           test_feed_advance_is_watchdog;
         QCheck_alcotest.to_alcotest feed_equiv_prop;
