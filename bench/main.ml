@@ -325,6 +325,54 @@ let bench_fleet_ingest_recorder =
                          (Filename.get_temp_dir_name ())
                          "cps_bench_postmortem")) }))
 
+(* Fleet sessions stepped round-robin, as a pump steps them: one run
+   advances every session by one tick through its boolean and robust
+   fused monitors over the stale-guarded paper plan, each session at its
+   own offset into pre-cut snapshots.  Between two ticks of a session
+   every other session runs, so per-tick cost at 600 sessions against 16
+   shows what fetching monitor state from memory costs.  Sessions are
+   warmed past the plan's 5 s horizon before timing, and restart from
+   the first snapshot when they run out. *)
+let interleaved_sessions n =
+  lazy
+    (let wrapped = List.map (fun s -> Mtl.Spec.stale_guarded s) Rules.all in
+     let plan = Mtl.Plan.compile wrapped in
+     let program =
+       Mtl.Online.Fused.compile ~shared:(Mtl.Online.shared_for wrapped) plan
+     in
+     let snaps = Lazy.force long_snaps_60 in
+     let len = Array.length snaps in
+     let fresh () =
+       let shared = Mtl.Online.shared_for wrapped in
+       ( Mtl.Online.Fused.instantiate ~shared program,
+         Mtl.Robust.Online.Fused.create ~shared plan )
+     in
+     let mons = Array.init n (fun _ -> fresh ()) in
+     let pos = Array.init n (fun i -> i * 7919 mod (len / 2)) in
+     let step () =
+       for i = 0 to n - 1 do
+         if pos.(i) = len then begin
+           mons.(i) <- fresh ();
+           pos.(i) <- 0
+         end;
+         let fused, rfused = mons.(i) in
+         let snap = snaps.(pos.(i)) in
+         Mtl.Online.Fused.step_iter fused snap (fun _ _ _ _ -> ());
+         Mtl.Robust.Online.Fused.step_iter rfused snap (fun _ _ _ _ _ -> ());
+         pos.(i) <- pos.(i) + 1
+       done
+     in
+     for _ = 1 to 600 do
+       step ()
+     done;
+     step)
+
+let step_interleaved_16 = interleaved_sessions 16
+let step_interleaved_600 = interleaved_sessions 600
+
+let bench_step_interleaved name sessions =
+  Test.make ~name (Staged.stage (fun () -> (Lazy.force sessions) ()))
+
 (* Monitor micro-benchmarks. --------------------------------------------- *)
 
 let bench_offline_rule n =
@@ -662,6 +710,15 @@ let () =
   in
   ignore (Lazy.force long_snaps_60);
   if not options.quick then ignore (Lazy.force long_snaps_600);
+  let warm name sessions =
+    if
+      match options.only with
+      | None -> true
+      | Some pattern -> workload_matches pattern name
+    then ignore (Lazy.force sessions)
+  in
+  warm "fleet/step_interleaved_16" step_interleaved_16;
+  warm "fleet/step_interleaved_600" step_interleaved_600;
   let all_tests =
     [ bench_figure1; bench_table1_run; bench_table1_sequential_slice;
       bench_table1_parallel; bench_vehicle_logs_scenario;
@@ -673,7 +730,10 @@ let () =
       bench_snapshots; bench_can_roundtrip; bench_frame_bit_count;
       bench_plant_step; bench_controller_step; bench_obs_overhead_off;
       bench_obs_overhead_on; bench_fleet_ingest;
-      bench_fleet_ingest_recorder ]
+      bench_fleet_ingest_recorder;
+      bench_step_interleaved "fleet/step_interleaved_16" step_interleaved_16;
+      bench_step_interleaved "fleet/step_interleaved_600" step_interleaved_600
+    ]
     @ long_trace_tests
   in
   let selected =

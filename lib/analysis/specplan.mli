@@ -56,6 +56,9 @@ type t = {
   total_tree_cost : int;
   total_fused_cost : int;
   overlaps : (int * int * [ `Duplicate | `Subsumed ]) list;
+  session_bytes : int;
+      (** one stream's incremental boolean monitor state at a 10 ms tick
+          period ({!Monitor_mtl.Online.Fused.instance_bytes}) *)
 }
 
 val analyze : ?env:Speclint.env -> Monitor_mtl.Spec.t list -> t

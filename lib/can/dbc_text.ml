@@ -38,7 +38,7 @@ let parse_signal_line line =
           (Coding.make ~signal_name:name ~start_bit ~length ~byte_order
              ~repr:(Coding.Scaled_int { signed; scale; offset })))
   with
-  | Scanf.Scan_failure msg | Failure msg -> Error msg
+  | Scanf.Scan_failure msg | Failure msg | Invalid_argument msg -> Error msg
   | End_of_file -> Error "truncated SG_ line"
 
 let parse_message_line line =
@@ -79,12 +79,19 @@ let apply_valtype messages (id, signal, kind) =
           (fun (c : Coding.t) -> String.equal c.Coding.signal_name signal)
           pm.pm_codings
       with
-      | [ c ], rest ->
-        pm.pm_codings <-
+      | [ c ], _ -> begin
+        (* Retype in place: the coding keeps its position, so a reparsed
+           database prints and decodes in the original signal order. *)
+        match
           Coding.make ~signal_name:signal ~start_bit:c.Coding.start_bit
             ~length:c.Coding.length ~byte_order:c.Coding.byte_order ~repr
-          :: rest;
-        Ok ()
+        with
+        | retyped ->
+          pm.pm_codings <-
+            List.map (fun c' -> if c' == c then retyped else c') pm.pm_codings;
+          Ok ()
+        | exception Invalid_argument msg -> Error msg
+      end
       | [], _ -> Error ("SIG_VALTYPE_ for unknown signal " ^ signal)
       | _ :: _ :: _, _ -> Error ("duplicate signal " ^ signal)
     end
@@ -135,7 +142,7 @@ let of_string source =
         end
         else if starts_with "SIG_VALTYPE_" line then begin
           match parse_valtype line with
-          | Some v -> pending_valtypes := v :: !pending_valtypes
+          | Some v -> pending_valtypes := (lineno + 1, v) :: !pending_valtypes
           | None -> fail "malformed SIG_VALTYPE_ line"
         end
         else
@@ -147,10 +154,11 @@ let of_string source =
   (match !error with
    | None ->
      List.iter
-       (fun v ->
-         match apply_valtype !messages v with
-         | Ok () -> ()
-         | Error msg -> error := Some msg)
+       (fun (line, v) ->
+         if !error = None then
+           match apply_valtype !messages v with
+           | Ok () -> ()
+           | Error msg -> error := Some (Printf.sprintf "line %d: %s" line msg))
        (List.rev !pending_valtypes)
    | Some _ -> ());
   match !error with

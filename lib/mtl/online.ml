@@ -263,15 +263,129 @@ type estate = {
   mutable dt : float;     (* time since the previous tick *)
   mutable dt_def : float; (* 0.0 on the first tick *)
   mutable now : float;    (* current tick time *)
+  mutable last : float;   (* previous tick time; -inf before the first *)
+  mutable first : float;  (* time of tick 0 *)
 }
 
-type env = {
-  sg : signals;
+(* Slot-compiled immediate formulas -------------------------------------- *)
+
+type vnode =
+  | V_const of Verdict.t
+  | V_cmp of Formula.comparison * enode * enode
+  | V_bool of int
+  | V_fresh of int
+  | V_known of int
+  | V_stale of int
+  | V_in_mode of int * string  (* machine index, -1 if unknown machine *)
+  | V_not of vnode
+  | V_and of vnode * vnode
+  | V_or of vnode * vnode
+  | V_implies of vnode * vnode
+
+(* Program and instance -----------------------------------------------------
+
+   A plan runs as an immutable {e program}, compiled once (node kinds,
+   child references, slot-compiled leaves, window offsets, ring sizing
+   facts), and any number of per-stream {e instances}, each a handful of
+   flat arrays (DESIGN.md §12):
+
+   - [ints]: per node its resolved count [hi] (ticks [0, hi) are
+     resolved) and its ring's place in the slab (offset and capacity
+     mask, packed); per window its read cursor and counters; one base
+     per node with several readers and one cursor per rule report;
+   - [slab]: every node's ring of verdict bytes, a node's entry for
+     absolute tick [k] at [off + (k land mask)];
+   - [times]: one tick-time ring indexed by absolute tick, shared by
+     every node of the instance, instead of a float time beside every
+     verdict;
+   - [hval]/[hdef]: the expressions' history.
+
+   Each consuming edge reads its child's ring through a cursor: a
+   connective's own [hi] (it has consumed exactly the ticks it resolved),
+   a window's cursor, or a report cursor.  A child with one consumer
+   retains entries from that cursor, so consuming retires them; a child
+   with several consumers (a hub) has a base of its own, set to its
+   slowest cursor once per tick.  A window reads its child's ring in
+   place: the entries from its cursor are its window, so no node copies
+   another's output.
+
+   Ring capacities come from the plan's horizons and history depths and
+   the stream's own tick spacing (sized when the second tick arrives);
+   every write checks its ring's room and the whole slab is re-laid out
+   as one block when a stream is denser than that. *)
+
+(* Per-node [ints] layout: [hi], then offset [lsl 32] capacity mask;
+   windows add their cursor and counters. *)
+let i_hi = 0
+let i_lay = 1
+let i_cursor = 2
+let i_counted = 3
+let i_nt = 4
+let i_nf = 5
+let i_nu = 6
+let lay_off lay = lay lsr 32
+let lay_mask lay = lay land 0xFFFF_FFFF
+let lay_make ~off ~mask = (off lsl 32) lor mask
+
+type pwindow = {
+  ws : int;
+  wsb : int;  (* the slot holding the ring's lowest retained tick *)
+  sem : Window.sem;
+  lo_off : float;  (* window of tick t is [t + lo_off, t + hi_off] *)
+  hi_off : float;
+  wc : int;   (* child node *)
+}
+
+(* [op]: 0 and, 1 or, 2 implies, 3 warm-up mask combine (left = mask).
+   [sb] is the slot holding the node's lowest retained tick: its one
+   reader's cursor, or its own base when it is a hub. *)
+type pnode =
+  | P_leaf of { s : int; sb : int; v : vnode }
+  | P_not of { s : int; sb : int; c : int }
+  | P_bin of { s : int; sb : int; op : int; a : int; b : int }
+  | P_window of pwindow
+
+type prog = {
+  exec : pnode array;       (* execution order, children first *)
+  hubs : int array array;   (* per hub: its base slot, then its cursors *)
+  slots : int array;        (* every node's first slot, ring order *)
+  bases : int array;        (* per ring: its [sb] *)
+  rets : float array;       (* per ring: seconds of ticks it must retain *)
+  tspan : float;            (* seconds of tick times the instance needs *)
+  template : int array;     (* initial [ints]: one-entry rings *)
+  nhist : int;
+  names : string array;     (* the signal slot table compiled against *)
+  out_s : int array;        (* per rule: report node and cursor *)
+  out_c : int array;
+  specs : Spec.t array;
+  machine_names : string array;
+  mach_off : int array;     (* per rule: first machine and machine count *)
+  mach_len : int array;
+  padded : string array array;
+}
+
+(* Field order is deliberate: the minor GC promotes an instance's blocks
+   in field order, and the fleet's interleaved sessions are sensitive to
+   where the per-step state lands. *)
+type inst = {
+  ints : int array;
+  mutable slab : Bytes.t;
+  mutable times : float array;
   est : estate;
+  sg : signals;
   hval : float array;        (* expression history values *)
   hdef : Bytes.t;            (* definedness / fresh-sample count *)
+  prog : prog;
+  machines : State_machine.runtime array;  (* all rules, concatenated *)
+  pre_modes : string array;
   post_modes : string array; (* post-step machine modes, refreshed per tick *)
+  pre_lookups : (string -> string option) array;  (* per rule *)
+  mutable next_tick : int;
+  mutable sized : bool;
+  mutable finalized : bool;
 }
+
+type env = inst
 
 (* Stdlib [Float.min]/[Float.max] semantics (NaN-propagating, -0.0 < +0.0),
    inlined locally so no float crosses a non-inlinable call boundary. *)
@@ -400,21 +514,6 @@ let rec eval_expr env node =
     est.acc <- fmax va est.acc;
     est.def <- da *. est.def
 
-(* Slot-compiled immediate formulas -------------------------------------- *)
-
-type vnode =
-  | V_const of Verdict.t
-  | V_cmp of Formula.comparison * enode * enode
-  | V_bool of int
-  | V_fresh of int
-  | V_known of int
-  | V_stale of int
-  | V_in_mode of int * string  (* machine index, -1 if unknown machine *)
-  | V_not of vnode
-  | V_and of vnode * vnode
-  | V_or of vnode * vnode
-  | V_implies of vnode * vnode
-
 let rec eval_vnode env v =
   match v with
   | V_const verdict -> verdict
@@ -462,185 +561,8 @@ let rec eval_vnode env v =
   | V_or (a, b) -> Verdict.or_ (eval_vnode env a) (eval_vnode env b)
   | V_implies (a, b) -> Verdict.implies (eval_vnode env a) (eval_vnode env b)
 
-(* Output rings ----------------------------------------------------------- *)
-
-(* A ring of (verdict byte, time) pairs for a contiguous run of ticks;
-   [obase] is the tick of the front entry.  Capacity doubles on demand and
-   is then reused — the steady state never allocates.  [reserve] hands the
-   caller a physical index instead of taking the float, so the time is
-   stored by the caller with a plain array write and never boxed across
-   the call. *)
-type outbuf = {
-  mutable ov : Bytes.t;
-  mutable ot : float array;
-  mutable ohead : int;
-  mutable olen : int;
-  mutable obase : int;
-}
-
-let outbuf_create () =
-  { ov = Bytes.create 16; ot = Array.make 16 0.0; ohead = 0; olen = 0;
-    obase = 0 }
-
-let outbuf_grow o =
-  let cap = Bytes.length o.ov in
-  let nv = Bytes.create (cap * 2) in
-  let nt = Array.make (cap * 2) 0.0 in
-  for i = 0 to o.olen - 1 do
-    let j = o.ohead + i in
-    let j = if j >= cap then j - cap else j in
-    Bytes.unsafe_set nv i (Bytes.unsafe_get o.ov j);
-    nt.(i) <- o.ot.(j)
-  done;
-  o.ov <- nv;
-  o.ot <- nt;
-  o.ohead <- 0
-
-let outbuf_reserve o =
-  if o.olen = Bytes.length o.ov then outbuf_grow o;
-  let j = o.ohead + o.olen in
-  let cap = Bytes.length o.ov in
-  let j = if j >= cap then j - cap else j in
-  o.olen <- o.olen + 1;
-  j
-
-let outbuf_phys o i =
-  let j = o.ohead + i in
-  let cap = Bytes.length o.ov in
-  if j >= cap then j - cap else j
-
-let outbuf_consume o k =
-  let h = o.ohead + k in
-  let cap = Bytes.length o.ov in
-  o.ohead <- (if h >= cap then h - cap else h);
-  o.olen <- o.olen - k;
-  o.obase <- o.obase + k
-
-(* A times-only ring for the pending ticks of a temporal operator. *)
-type fring = {
-  mutable fv : float array;
-  mutable fhead : int;
-  mutable flen : int;
-}
-
-let fring_create () = { fv = Array.make 16 0.0; fhead = 0; flen = 0 }
-
-let fring_grow p =
-  let cap = Array.length p.fv in
-  let nv = Array.make (cap * 2) 0.0 in
-  for i = 0 to p.flen - 1 do
-    let j = p.fhead + i in
-    let j = if j >= cap then j - cap else j in
-    nv.(i) <- p.fv.(j)
-  done;
-  p.fv <- nv;
-  p.fhead <- 0
-
-let fring_reserve p =
-  if p.flen = Array.length p.fv then fring_grow p;
-  let j = p.fhead + p.flen in
-  let cap = Array.length p.fv in
-  let j = if j >= cap then j - cap else j in
-  p.flen <- p.flen + 1;
-  j
-
-let fring_pop p =
-  let h = p.fhead + 1 in
-  let cap = Array.length p.fv in
-  p.fhead <- (if h >= cap then h - cap else h);
-  p.flen <- p.flen - 1
-
-(* Node tree -------------------------------------------------------------- *)
-
-type node = {
-  kind : kind;
-  out : outbuf;
-}
-
-and kind =
-  | Leaf of vnode
-  | Not1 of node
-  | Bin of {
-      op : Verdict.t -> Verdict.t -> Verdict.t;
-      left : node;
-      right : node;
-    }
-  | Temporal of temporal
-  | Tap of tap
-
-(* A non-destructive reader of a shared node's output.  The consumption
-   protocol above is destructive — each parent drains its child's ring —
-   so a node shared by several parents in a plan DAG gets one [Tap] per
-   consuming edge:
-   the tap copies newly resolved entries (absolute tick >= [copied]) out
-   of the shared "hub" node's ring into its own private ring, which its
-   parent then drains destructively as usual.  The driver retires a
-   hub's entries once per tick, after every tap has copied them. *)
-and tap = {
-  src : node;
-  mutable copied : int;  (* absolute tick up to which entries are copied *)
-}
-
-(* Sliding-window state.  The window ring holds resolved child verdicts in
-   tick order; its front [counted] entries are the samples inside the
-   front pending tick's window [t + lo_off, t + hi_off], always summarised
-   exactly by [nt]/[nf]/[nu].  Both window endpoints are monotone across
-   pending ticks, so every child resolution is admitted once ([counted]
-   grows) and dropped once (ring front retires): amortised O(1) per tick.
-   The mutable floats live in the all-float [tfloats] record so the
-   per-tick writes stay unboxed. *)
-and temporal = {
-  sem : Window.sem;
-  lo_off : float;  (* window of tick t is [t + lo_off, t + hi_off] *)
-  hi_off : float;
-  child : node;
-  window : outbuf;
-  mutable counted : int;
-  mutable nt : int;
-  mutable nf : int;
-  mutable nu : int;
-  pend : fring;  (* times of input ticks not yet resolved *)
-  tf : tfloats;
-  mutable any_child_resolved : bool;
-  mutable saw_input : bool;
-}
-
-and tfloats = {
-  mutable child_max_time : float;  (* latest resolved child tick time *)
-  mutable first_input : float;
-  mutable last_input : float;
-  (* Scratch endpoints of the front pending tick's window, refreshed at
-     the top of each resolution round.  Kept here (all-float record, so
-     the writes are flat) instead of being passed as arguments so no
-     float crosses a call boundary on the per-tick path. *)
-  mutable wlo : float;
-  mutable whi : float;
-}
-
-let mask_combine m b =
-  match m with
-  | Verdict.True -> Verdict.Unknown
-  | Verdict.False | Verdict.Unknown -> b
-
-let temporal ~lo_off ~hi_off ~sem child =
-  { kind =
-      Temporal
-        { sem; lo_off; hi_off; child;
-          window = outbuf_create ();
-          counted = 0; nt = 0; nf = 0; nu = 0;
-          pend = fring_create ();
-          tf =
-            { child_max_time = Float.neg_infinity;
-              first_input = 0.0;
-              last_input = 0.0;
-              wlo = 0.0;
-              whi = 0.0 };
-          any_child_resolved = false;
-          saw_input = false };
-    out = outbuf_create () }
 
 (* Compilation ------------------------------------------------------------ *)
-
 let rec compile_expr sg nhist (e : Expr.t) =
   let alloc k =
     let h = !nhist in
@@ -715,301 +637,404 @@ let rec compile_vnode sg machine_names nhist (f : Formula.t) =
   | Formula.Once _ | Formula.Warmup _ ->
     invalid_arg "Online: temporal formula in immediate position"
 
-(* Resolution machinery --------------------------------------------------- *)
 
-let count tp delta c =
-  if c = code_true then tp.nt <- tp.nt + delta
-  else if c = code_false then tp.nf <- tp.nf + delta
-  else tp.nu <- tp.nu + delta
+(* Rings ------------------------------------------------------------------ *)
 
-let drain_not child out =
-  let c = child.out in
-  let k = c.olen in
-  if k > 0 then begin
-    for i = 0 to k - 1 do
-      let src = outbuf_phys c i in
-      let j = outbuf_reserve out in
-      Bytes.unsafe_set out.ov j (code_not (Bytes.unsafe_get c.ov src));
-      out.ot.(j) <- c.ot.(src)
+let pow2_at_least n =
+  let rec go c = if c >= n then c else go (2 * c) in
+  go 1
+
+(* Ring capacity, in ticks, for [span] seconds of ticks [dt] apart: the
+   span's ticks, the one being written and slack for the epsilon of the
+   window endpoints.  Pre-sizing stops at [max_presize] ticks; denser
+   needs grow on demand. *)
+let max_presize = 4096
+
+let ticks_for ~dt span =
+  let n = Float.ceil (span /. dt) in
+  if Float.is_nan n || n > float_of_int max_presize then max_presize
+  else int_of_float n + 2
+
+(* Re-lay the slab out with ring [k] (in [prog.slots] order) at capacity
+   [caps.(k)], copying every ring's retained entries. *)
+let relayout b caps =
+  let ints = b.ints and old = b.slab and p = b.prog in
+  let slab = Bytes.make (Array.fold_left ( + ) 0 caps) code_unknown in
+  let off = ref 0 in
+  Array.iteri
+    (fun k s ->
+      let lay = ints.(s + i_lay) in
+      let o = lay_off lay and m = lay_mask lay in
+      let no = !off and nm = caps.(k) - 1 in
+      for t = ints.(p.bases.(k)) to ints.(s + i_hi) - 1 do
+        Bytes.unsafe_set slab (no + (t land nm))
+          (Bytes.unsafe_get old (o + (t land m)))
+      done;
+      ints.(s + i_lay) <- lay_make ~off:no ~mask:nm;
+      off := no + caps.(k))
+    p.slots;
+  b.slab <- slab
+
+let grow b s =
+  relayout b
+    (Array.map
+       (fun s' ->
+         let cap = lay_mask b.ints.(s' + i_lay) + 1 in
+         if s' = s then 2 * cap else cap)
+       b.prog.slots)
+
+(* Append the verdict of tick [hi] to node [s]'s ring, whose lowest
+   retained tick is in slot [sb]. *)
+let emit b s sb code =
+  let ints = b.ints in
+  let hi = Array.unsafe_get ints s in
+  if hi - Array.unsafe_get ints sb > lay_mask (Array.unsafe_get ints (s + i_lay))
+  then grow b s;
+  let lay = Array.unsafe_get ints (s + i_lay) in
+  Bytes.unsafe_set b.slab (lay_off lay + (hi land lay_mask lay)) code;
+  Array.unsafe_set ints s (hi + 1)
+
+let code_at b c t =
+  let lay = Array.unsafe_get b.ints (c + i_lay) in
+  Bytes.unsafe_get b.slab (lay_off lay + (t land lay_mask lay))
+
+(* Keep tick [floor] onward in the tick-time ring across the next push. *)
+let ensure_floor b floor =
+  let next = b.next_tick and cap = Array.length b.times in
+  if next - floor >= cap then begin
+    let ncap = pow2_at_least (max (2 * cap) (next - floor + 1)) in
+    let nt = Array.make ncap 0.0 in
+    for t = max 0 (next - cap) to next - 1 do
+      nt.(t land (ncap - 1)) <- b.times.(t land (cap - 1))
     done;
-    outbuf_consume c k
+    b.times <- nt
   end
 
-let drain_bin op left right out =
-  let l = left.out and r = right.out in
-  let k = if l.olen < r.olen then l.olen else r.olen in
-  if k > 0 then begin
-    assert (l.obase = r.obase);
-    for i = 0 to k - 1 do
-      let li = outbuf_phys l i and ri = outbuf_phys r i in
-      let v =
-        op
-          (verdict_of_code (Bytes.unsafe_get l.ov li))
-          (verdict_of_code (Bytes.unsafe_get r.ov ri))
-      in
-      let j = outbuf_reserve out in
-      Bytes.unsafe_set out.ov j (code_of_verdict v);
-      out.ot.(j) <- l.ot.(li)
-    done;
-    outbuf_consume l k;
-    outbuf_consume r k
-  end
+(* At the second tick the stream's spacing is known: size every ring and
+   the tick-time ring for it. *)
+let size b =
+  b.sized <- true;
+  let dt = b.est.dt and p = b.prog and ints = b.ints in
+  relayout b
+    (Array.mapi
+       (fun k s ->
+         pow2_at_least
+           (max (ticks_for ~dt p.rets.(k))
+              (ints.(s + i_hi) - ints.(p.bases.(k)) + 1)))
+       p.slots);
+  let need = pow2_at_least (ticks_for ~dt p.tspan) in
+  if need > Array.length b.times then ensure_floor b (b.next_tick - need + 1)
 
-let tap_drain tap out =
-  let s = tap.src.out in
-  let start = tap.copied - s.obase in
-  if start < s.olen then begin
-    for i = start to s.olen - 1 do
-      let src = outbuf_phys s i in
-      let j = outbuf_reserve out in
-      Bytes.unsafe_set out.ov j (Bytes.unsafe_get s.ov src);
-      out.ot.(j) <- s.ot.(src)
-    done;
-    tap.copied <- s.obase + s.olen
-  end
+(* Words of an instance's own blocks (the program and the signal slots
+   are shared and not counted) for a machine-free plan on a stream
+   [period] seconds apart, by the computation [size] lays the rings out
+   by. *)
+let instance_words_at (p : prog) ~period =
+  let slab =
+    Array.fold_left
+      (fun acc r -> acc + pow2_at_least (ticks_for ~dt:period r))
+      0 p.rets
+  in
+  let times = pow2_at_least (ticks_for ~dt:period p.tspan) in
+  let hist = max 1 p.nhist in
+  let record = 1 + 15 and est = 1 + 7 in
+  record + est
+  + (1 + Array.length p.template)
+  + (1 + ((slab + 8) / 8))
+  + (1 + times)
+  + (1 + hist)
+  + (1 + ((hist + 8) / 8))
 
-let absorb_child tp =
-  let c = tp.child.out in
-  let k = c.olen in
-  if k > 0 then begin
-    for i = 0 to k - 1 do
-      let src = outbuf_phys c i in
-      let j = outbuf_reserve tp.window in
-      Bytes.unsafe_set tp.window.ov j (Bytes.unsafe_get c.ov src);
-      tp.window.ot.(j) <- c.ot.(src)
-    done;
-    tp.tf.child_max_time <- c.ot.(outbuf_phys c (k - 1));
-    tp.any_child_resolved <- true;
-    outbuf_consume c k
-  end
+(* Node advance ------------------------------------------------------------ *)
 
-(* Slide: drop counted samples the window start has passed. *)
-let rec drop_passed tp =
-  if tp.counted > 0 then begin
-    let w = tp.window in
-    if w.ot.(w.ohead) < tp.tf.wlo then begin
-      count tp (-1) (Bytes.unsafe_get w.ov w.ohead);
-      outbuf_consume w 1;
-      tp.counted <- tp.counted - 1;
-      drop_passed tp
-    end
-  end
+(* [table.[op * 9 + a * 3 + b]]: the connective [op] on verdict codes. *)
+let bin_table =
+  let mask_combine m v =
+    match m with
+    | Verdict.True -> Verdict.Unknown
+    | Verdict.False | Verdict.Unknown -> v
+  in
+  let ops = [| Verdict.and_; Verdict.or_; Verdict.implies; mask_combine |] in
+  Bytes.to_string
+    (Bytes.init 36 (fun i ->
+         code_of_verdict
+           (ops.(i / 9)
+              (verdict_of_code (Char.chr (i / 3 mod 3)))
+              (verdict_of_code (Char.chr (i mod 3))))))
 
-(* Admit resolved samples the window end has reached.  A sample already
-   behind the window start (possible when the start jumped past it
-   between pending ticks) is discarded: no later window, all further
-   right, can contain it.  Times are monotone, so that can only happen
-   with no counted samples at all — the discard target is the ring
-   front. *)
-let rec admit_reached tp =
-  let w = tp.window in
-  if tp.counted < w.olen then begin
-    let j = outbuf_phys w tp.counted in
-    let t = w.ot.(j) in
-    if t <= tp.tf.whi then begin
-      if t >= tp.tf.wlo then begin
-        count tp 1 (Bytes.unsafe_get w.ov j);
-        tp.counted <- tp.counted + 1
-      end
-      else begin
-        assert (tp.counted = 0);
-        outbuf_consume w 1
-      end;
-      admit_reached tp
-    end
-  end
+let count ints s delta c =
+  if c = code_true then ints.(s + i_nt) <- ints.(s + i_nt) + delta
+  else if c = code_false then ints.(s + i_nf) <- ints.(s + i_nf) + delta
+  else ints.(s + i_nu) <- ints.(s + i_nu) + delta
 
-let rec try_resolve_temporal ~finalizing tp out =
-  if tp.pend.flen > 0 then begin
-    let p_time = tp.pend.fv.(tp.pend.fhead) in
-    tp.tf.wlo <- p_time +. tp.lo_off -. time_eps;
-    tp.tf.whi <- p_time +. tp.hi_off +. time_eps;
-    drop_passed tp;
-    admit_reached tp;
-    (* Resolve before the window closes only with the operator's
-       dominating verdict: future samples can only add to the counts, so
-       it alone is stable under every extension of the window. *)
-    let early = Window.early_dominant tp.sem ~nt:tp.nt ~nf:tp.nf in
-    if not (Verdict.equal early Verdict.Unknown) then begin
-      fring_pop tp.pend;
-      let j = outbuf_reserve out in
-      Bytes.unsafe_set out.ov j (code_of_verdict early);
-      out.ot.(j) <- p_time;
-      try_resolve_temporal ~finalizing tp out
-    end
+(* Resolve the window's pending ticks [hi, next_tick) front first.  The
+   child's entries from the cursor are the window: the first [counted] of
+   them lie inside the front pending tick's window and are summarised by
+   [nt]/[nf]/[nu].  Both window endpoints are monotone across pending
+   ticks, so every child entry is admitted once and retired once:
+   amortised O(1) per tick.  Resolve before the window closes only with
+   the operator's dominating verdict (future samples only add to the
+   counts); otherwise once the child has resolved a tick at (or within
+   the epsilon of) the window's end, which makes past-time operators
+   resolve at their own tick. *)
+let advance_window b finalizing w =
+  let ints = b.ints in
+  let s = w.ws and c = w.wc in
+  let cc = s + i_cursor in
+  let next = b.next_tick in
+  let go = ref true in
+  while !go do
+    let p = Array.unsafe_get ints s in
+    if p >= next then go := false
     else begin
-      (* The window cannot gain samples once the child has resolved a tick
-         at (or within the epsilon of) the window's end: all future ticks
-         have strictly greater times.  This makes past-time operators
-         resolve at their own tick. *)
-      let window_closed =
-        finalizing
-        || (tp.any_child_resolved
-           && tp.tf.child_max_time >= p_time +. tp.hi_off -. time_eps)
+      let times = b.times in
+      let tm = Array.length times - 1 in
+      let p_time = Array.unsafe_get times (p land tm) in
+      let wlo = p_time +. w.lo_off -. time_eps in
+      let whi = p_time +. w.hi_off +. time_eps in
+      (* Slide: drop counted samples the window start has passed. *)
+      while
+        ints.(s + i_counted) > 0
+        && Array.unsafe_get times (ints.(cc) land tm) < wlo
+      do
+        count ints s (-1) (code_at b c ints.(cc));
+        ints.(cc) <- ints.(cc) + 1;
+        ints.(s + i_counted) <- ints.(s + i_counted) - 1
+      done;
+      (* Admit resolved samples the window end has reached.  A sample
+         already behind the window start (the start jumped past it
+         between pending ticks) is retired: no later window, all further
+         right, can contain it.  Times are monotone, so that happens only
+         with nothing counted. *)
+      let chi = ints.(c) in
+      let admitting = ref true in
+      while !admitting && ints.(cc) + ints.(s + i_counted) < chi do
+        let k = ints.(cc) + ints.(s + i_counted) in
+        let t = Array.unsafe_get times (k land tm) in
+        if t <= whi then begin
+          if t >= wlo then begin
+            count ints s 1 (code_at b c k);
+            ints.(s + i_counted) <- ints.(s + i_counted) + 1
+          end
+          else begin
+            assert (ints.(s + i_counted) = 0);
+            ints.(cc) <- ints.(cc) + 1
+          end
+        end
+        else admitting := false
+      done;
+      let early =
+        Window.early_dominant w.sem ~nt:ints.(s + i_nt) ~nf:ints.(s + i_nf)
       in
-      if window_closed then begin
+      if not (Verdict.equal early Verdict.Unknown) then
+        emit b s w.wsb (code_of_verdict early)
+      else if
+        finalizing
+        || chi > 0
+           && Array.unsafe_get times ((chi - 1) land tm)
+              >= p_time +. w.hi_off -. time_eps
+      then begin
         let complete =
-          tp.saw_input
-          && tp.tf.last_input >= p_time +. tp.hi_off -. time_eps
-          && tp.tf.first_input <= p_time +. tp.lo_off +. time_eps
+          b.est.now >= p_time +. w.hi_off -. time_eps
+          && b.est.first <= p_time +. w.lo_off +. time_eps
         in
-        let verdict =
-          Window.decide tp.sem ~nt:tp.nt ~nf:tp.nf ~nu:tp.nu ~complete
-        in
-        fring_pop tp.pend;
-        let j = outbuf_reserve out in
-        Bytes.unsafe_set out.ov j (code_of_verdict verdict);
-        out.ot.(j) <- p_time;
-        try_resolve_temporal ~finalizing tp out
+        emit b s w.wsb
+          (code_of_verdict
+             (Window.decide w.sem ~nt:ints.(s + i_nt) ~nf:ints.(s + i_nf)
+                ~nu:ints.(s + i_nu) ~complete))
       end
+      else go := false
     end
-  end
+  done;
+  (* Pending ticks, the window and the child's latest tick keep their
+     times across the next push. *)
+  let chi = ints.(c) in
+  let floor = if ints.(s) < ints.(cc) then ints.(s) else ints.(cc) in
+  ensure_floor b (if chi > 0 && chi - 1 < floor then chi - 1 else floor)
 
 (* One node's own per-tick work, children already advanced this tick:
-   the plan executors call it over a topologically ordered node array,
-   where a shared child is advanced once however many parents consume
-   it. *)
-let advance_self env node time =
-  match node.kind with
-  | Leaf v ->
-    let verdict = eval_vnode env v in
-    let o = node.out in
-    let j = outbuf_reserve o in
-    Bytes.unsafe_set o.ov j (code_of_verdict verdict);
-    o.ot.(j) <- time
-  | Not1 child -> drain_not child node.out
-  | Bin { op; left; right } -> drain_bin op left right node.out
-  | Temporal tp ->
-    if not tp.saw_input then begin
-      tp.tf.first_input <- time;
-      tp.saw_input <- true
-    end;
-    tp.tf.last_input <- time;
-    let j = fring_reserve tp.pend in
-    tp.pend.fv.(j) <- time;
-    absorb_child tp;
-    try_resolve_temporal ~finalizing:false tp node.out
-  | Tap tap -> tap_drain tap node.out
+   a shared child is advanced once however many parents read it.  A
+   connective's children are read from its own [hi] on, so resolving a
+   tick is consuming it. *)
+let advance_node b finalizing pn =
+  match pn with
+  | P_leaf { s; sb; v } ->
+    if not finalizing then emit b s sb (code_of_verdict (eval_vnode b v))
+  | P_not { s; sb; c } ->
+    let ints = b.ints in
+    for t = ints.(s) to ints.(c) - 1 do
+      emit b s sb (code_not (code_at b c t))
+    done
+  | P_bin { s; sb; op; a; b = r } ->
+    let ints = b.ints in
+    let t0 = ints.(s) in
+    let t1 = if ints.(a) < ints.(r) then ints.(a) else ints.(r) in
+    let base = op * 9 in
+    for t = t0 to t1 - 1 do
+      emit b s sb
+        (String.unsafe_get bin_table
+           (base + (3 * Char.code (code_at b a t)) + Char.code (code_at b r t)))
+    done
+  | P_window w -> advance_window b finalizing w
 
-let finalize_self node =
-  match node.kind with
-  | Leaf _ -> ()
-  | Not1 child -> drain_not child node.out
-  | Bin { op; left; right } -> drain_bin op left right node.out
-  | Temporal tp ->
-    absorb_child tp;
-    try_resolve_temporal ~finalizing:true tp node.out
-  | Tap tap -> tap_drain tap node.out
+(* A hub retains entries until its slowest reader has passed them. *)
+let retire_hubs b =
+  let hubs = b.prog.hubs and ints = b.ints in
+  for h = 0 to Array.length hubs - 1 do
+    let hub = Array.unsafe_get hubs h in
+    let m = ref max_int in
+    for i = 1 to Array.length hub - 1 do
+      let c = ints.(hub.(i)) in
+      if c < !m then m := c
+    done;
+    ints.(hub.(0)) <- !m
+  done
 
 (* Plan DAGs -------------------------------------------------------------- *)
 
 (* Build-time table of one executor's boolean nodes over a {!Plan}: the
-   node built for each plan id, how many consuming edges each id has in
-   this executor, and the execution order accumulated so far.  Plan ids
-   are topologically ordered, so adding them in id order builds children
-   first.  A node with more than one consumer is a hub, read through one
-   [Tap] per edge. *)
+   node built for each plan id with its retention and lag, how many
+   consuming edges each id has in this executor, and the program
+   accumulated so far.  Plan ids are topologically ordered, so adding
+   them in id order builds children first.  A node with more than one
+   consumer is a hub, with a base of its own and one cursor per edge.  A
+   node's lag is its formula's horizon: how long after tick [t] its
+   verdict at [t] may stay pending; a ring retains what its slowest
+   reader has not yet consumed. *)
+type built = {
+  bs : int;
+  mutable sb : int;
+  ret : float ref;
+  lag : float;
+  mutable cursors : int list;  (* hubs: every reader's cursor *)
+}
+
 type dag = {
-  d_built : node option array;
+  d_built : built option array;
   d_uses : int array;
-  mutable d_exec : node list;    (* execution order, reversed *)
-  mutable d_hubs : outbuf list;  (* hub rings, reversed *)
+  mutable d_nints : int;
+  mutable d_exec : (built * (int -> pnode)) list;  (* reversed *)
+  mutable d_tspan : float;
+  mutable d_outs : (int * int) array;
 }
 
 let dag_create (plan : Plan.t) uses =
   { d_built = Array.make (Array.length plan.Plan.nodes) None;
     d_uses = uses;
+    d_nints = 0;
     d_exec = [];
-    d_hubs = [] }
+    d_tspan = 0.0;
+    d_outs = [||] }
 
-let dag_push d n = d.d_exec <- n :: d.d_exec
+let dag_alloc d k =
+  let s = d.d_nints in
+  d.d_nints <- s + k;
+  s
 
-(* One consuming edge into plan node [id]: the node itself when the edge
-   is its only consumer, else a fresh tap scheduled right before the
-   consumer. *)
-let dag_edge d id =
-  let n = match d.d_built.(id) with Some n -> n | None -> assert false in
-  if d.d_uses.(id) > 1 then begin
-    let tap = { kind = Tap { src = n; copied = 0 }; out = outbuf_create () } in
-    dag_push d tap;
-    tap
-  end
-  else n
+(* A node at slots [s]; [hub] nodes get a base slot of their own. *)
+let dag_node d ~s ~hub ~lag mk =
+  let n = { bs = s; sb = -1; ret = ref 0.0; lag; cursors = [] } in
+  if hub then n.sb <- dag_alloc d 1;
+  d.d_exec <- (n, mk) :: d.d_exec;
+  n
+
+(* One consuming edge, reading through [cursor], into a built node whose
+   reader may leave [ret] seconds of its entries unconsumed. *)
+let edge_of n ~cursor ~ret =
+  if ret > !(n.ret) then n.ret := ret;
+  n.cursors <- cursor :: n.cursors;
+  n.bs
+
+let built d id = match d.d_built.(id) with Some n -> n | None -> assert false
+
+let dag_edge d id ~cursor ~ret = edge_of (built d id) ~cursor ~ret
+
+let window_node d ~s ~hub ~lag ~sem ~lo_off ~hi_off c =
+  let span = lag +. Float.max 0.0 (-.lo_off) in
+  if span > d.d_tspan then d.d_tspan <- span;
+  dag_node d ~s ~hub ~lag (fun wsb ->
+      P_window { ws = s; wsb; sem; lo_off; hi_off; wc = c })
 
 (* A warm-up's suppression window: [True] at tick [t] iff the trigger was
-   [True] somewhere in [t - hold, t].  Private to its warm-up, so it joins
-   the execution order directly. *)
-let dag_mask d ~trigger ~hold =
-  let mask =
-    temporal ~lo_off:(-.hold) ~hi_off:0.0 ~sem:Window.Mask (dag_edge d trigger)
+   [True] somewhere in [t - hold, t].  Private to its warm-up, whose lag
+   is [ret]. *)
+let dag_mask_built d ~trigger ~hold ~ret =
+  let lag = (built d trigger).lag in
+  let s = dag_alloc d 7 in
+  let c =
+    dag_edge d trigger ~cursor:(s + i_cursor) ~ret:(lag +. hold)
   in
-  dag_push d mask;
-  mask
+  let m =
+    window_node d ~s ~hub:false ~lag ~sem:Window.Mask ~lo_off:(-.hold)
+      ~hi_off:0.0 c
+  in
+  m.ret := ret;
+  m
 
-let dag_bin d op a b =
-  let left = dag_edge d a in
-  { kind = Bin { op; left; right = dag_edge d b }; out = outbuf_create () }
+type mask = { m_s : int; m_sb : int }
+
+let dag_mask d ~trigger ~hold ~ret =
+  let m = dag_mask_built d ~trigger ~hold ~ret in
+  let cursor = dag_alloc d 1 in
+  ignore (edge_of m ~cursor ~ret);
+  { m_s = m.bs; m_sb = cursor }
 
 let dag_add d sg names nhist id (pnode : Plan.node) =
+  let lag = Formula.horizon pnode.Plan.form in
+  let hub = d.d_uses.(id) > 1 in
+  let bin op a b =
+    let s = dag_alloc d 2 in
+    let a = dag_edge d a ~cursor:s ~ret:lag in
+    let b = dag_edge d b ~cursor:s ~ret:lag in
+    dag_node d ~s ~hub ~lag (fun sb -> P_bin { s; sb; op; a; b })
+  in
   let n =
     match pnode.Plan.shape with
     | Plan.Atom ->
-      { kind = Leaf (compile_vnode sg names nhist pnode.Plan.form);
-        out = outbuf_create () }
-    | Plan.Not c -> { kind = Not1 (dag_edge d c); out = outbuf_create () }
-    | Plan.And (a, b) -> dag_bin d Verdict.and_ a b
-    | Plan.Or (a, b) -> dag_bin d Verdict.or_ a b
-    | Plan.Implies (a, b) -> dag_bin d Verdict.implies a b
+      let v = compile_vnode sg names nhist pnode.Plan.form in
+      let s = dag_alloc d 2 in
+      dag_node d ~s ~hub ~lag (fun sb -> P_leaf { s; sb; v })
+    | Plan.Not c ->
+      let s = dag_alloc d 2 in
+      let c = dag_edge d c ~cursor:s ~ret:lag in
+      dag_node d ~s ~hub ~lag (fun sb -> P_not { s; sb; c })
+    | Plan.And (a, b) -> bin 0 a b
+    | Plan.Or (a, b) -> bin 1 a b
+    | Plan.Implies (a, b) -> bin 2 a b
     | Plan.Window { op; lo; hi; child } ->
       let lo_off, hi_off, sem = Plan.window_offsets op ~lo ~hi in
-      temporal ~lo_off ~hi_off ~sem (dag_edge d child)
+      let s = dag_alloc d 7 in
+      let c =
+        dag_edge d child ~cursor:(s + i_cursor)
+          ~ret:(lag +. Float.max 0.0 (-.lo_off))
+      in
+      window_node d ~s ~hub ~lag ~sem ~lo_off ~hi_off c
     | Plan.Warmup { trigger; hold; body } ->
-      let mask = dag_mask d ~trigger ~hold in
-      { kind = Bin { op = mask_combine; left = mask; right = dag_edge d body };
-        out = outbuf_create () }
+      let m = dag_mask_built d ~trigger ~hold ~ret:lag in
+      let s = dag_alloc d 2 in
+      let a = edge_of m ~cursor:s ~ret:lag in
+      let b = dag_edge d body ~cursor:s ~ret:lag in
+      dag_node d ~s ~hub ~lag (fun sb -> P_bin { s; sb; op = 3; a; b })
   in
-  dag_push d n;
-  if d.d_uses.(id) > 1 then d.d_hubs <- n.out :: d.d_hubs;
   d.d_built.(id) <- Some n
 
-let retire_hubs hubs =
-  for i = 0 to Array.length hubs - 1 do
-    let h = Array.unsafe_get hubs i in
-    outbuf_consume h h.olen
-  done
+(* The report edges of the rule roots, each through a cursor of its own. *)
+let dag_roots d (plan : Plan.t) =
+  d.d_outs <-
+    Array.map
+      (fun id ->
+        let n = built d id in
+        if n.lag > d.d_tspan then d.d_tspan <- n.lag;
+        let cursor = dag_alloc d 1 in
+        (edge_of n ~cursor ~ret:n.lag, cursor))
+      plan.Plan.roots
 
-(* Boolean plan executor ----------------------------------------------------
+(* Boolean program and instances --------------------------------------------
 
-   One flat record holds everything a step touches: the built nodes in
-   execution order (children and taps first), the hub rings retired once
-   per tick after every tap copied them, each rule's report node, the
-   clock, the signal environment and the rules' state machines.
-
-   Machines stay per-rule state: the runtimes of all rules are
+   Machines stay per-instance state: the runtimes of all rules are
    concatenated into one array, and each rule compiles its [in_mode]
    atoms against a padded name table that exposes only its own slice (at
    global indices), so mode references resolve rule-locally. *)
-type mfloats = { mutable last_time : float }
-
-(* Field order is deliberate: the minor GC promotes a monitor's objects
-   in field order, and with the report nodes first the fleet's
-   interleaved sessions ran about 15 % faster than with the node array
-   first. *)
-type core = {
-  outs : node array;  (* per rule: its root, or a private tap of it *)
-  nodes : node array;
-  hubs : outbuf array;
-  env : env;
-  machines : State_machine.runtime array;  (* all rules, concatenated *)
-  machine_names : string array;
-  pre_modes : string array;
-  mach_off : int array;  (* per rule: first machine and machine count *)
-  mach_len : int array;
-  pre_lookups : (string -> string option) array;  (* per rule *)
-  mf : mfloats;
-  mutable next_tick : int;
-  mutable finalized : bool;
-}
 
 type shared = signals
 
@@ -1018,22 +1043,15 @@ let shared_for specs =
     (List.concat_map (fun s -> Formula.signals s.Spec.formula) specs)
 
 (* [build sg names_of nhist] compiles the executor's nodes into a dag and
-   returns it with the report nodes; [names_of owner] is the machine
-   table a plan node of that owner resolves [in_mode] against.  The
-   expression history is sized afterwards, from what compilation
-   allocated. *)
-let core_build ?shared (plan : Plan.t) build =
-  let specs = Array.to_list plan.Plan.specs in
+   returns it with whatever else it compiled against the same signals
+   and history; [names_of owner] is the machine table a plan node of
+   that owner resolves [in_mode] against. *)
+let compile_core ?shared (plan : Plan.t) build =
+  let specs = plan.Plan.specs in
   let sg =
     match shared with
     | Some sg -> sg
     | None -> signals_make (Plan.signals plan)
-  in
-  let machines =
-    Array.of_list
-      (List.concat_map
-         (fun (s : Spec.t) -> List.map State_machine.start s.Spec.machines)
-         specs)
   in
   let machine_names =
     Array.of_list
@@ -1041,18 +1059,15 @@ let core_build ?shared (plan : Plan.t) build =
          (fun (s : Spec.t) ->
            List.map (fun (m : State_machine.t) -> m.State_machine.name)
              s.Spec.machines)
-         specs)
+         (Array.to_list specs))
   in
   let mach_len =
-    Array.of_list
-      (List.map (fun (s : Spec.t) -> List.length s.Spec.machines) specs)
+    Array.map (fun (s : Spec.t) -> List.length s.Spec.machines) specs
   in
   let mach_off = Array.make (Array.length mach_len) 0 in
   for r = 1 to Array.length mach_len - 1 do
     mach_off.(r) <- mach_off.(r - 1) + mach_len.(r - 1)
   done;
-  let pre_modes = Array.map State_machine.current machines in
-  let post_modes = Array.map State_machine.current machines in
   let padded =
     Array.mapi
       (fun r off ->
@@ -1062,106 +1077,182 @@ let core_build ?shared (plan : Plan.t) build =
       mach_off
   in
   let nhist = ref 0 in
-  let d, outs, extra =
+  let d, extra =
     build sg (fun owner -> if owner < 0 then [||] else padded.(owner)) nhist
   in
-  let env =
-    { sg;
-      est = { acc = 0.0; def = 0.0; dt = 0.0; dt_def = 0.0; now = 0.0 };
-      hval = Array.make (max 1 !nhist) 0.0;
-      hdef = Bytes.make (max 1 !nhist) '\000';
-      post_modes }
+  let exec = Array.of_list (List.rev d.d_exec) in
+  (* A node with one reader retains from that reader's cursor; a hub
+     from its own base, the minimum over its readers' cursors. *)
+  Array.iter
+    (fun (n, _) ->
+      if n.sb < 0 then
+        match n.cursors with
+        | [ c ] -> n.sb <- c
+        | _ -> n.sb <- dag_alloc d 1)
+    exec;
+  let rings = Array.map fst exec in
+  let template = Array.make d.d_nints 0 in
+  Array.iteri
+    (fun k n -> template.(n.bs + i_lay) <- lay_make ~off:k ~mask:0)
+    rings;
+  let hubs =
+    List.filter_map
+      (fun n ->
+        match n.cursors with
+        | [ c ] when c = n.sb -> None
+        | cursors -> Some (Array.of_list (n.sb :: List.rev cursors)))
+      (Array.to_list rings)
   in
-  let pre_lookups =
-    Array.map
-      (fun names name ->
-        let j = machine_index names name in
-        if j < 0 then None else Some pre_modes.(j))
-      padded
-  in
-  ( { nodes = Array.of_list (List.rev d.d_exec);
-      hubs = Array.of_list (List.rev d.d_hubs);
-      outs; env; machines; machine_names; pre_modes; mach_off; mach_len;
-      pre_lookups;
-      mf = { last_time = Float.neg_infinity };
-      next_tick = 0;
-      finalized = false },
+  ( { exec = Array.map (fun (n, mk) -> mk n.sb) exec;
+      hubs = Array.of_list hubs;
+      slots = Array.map (fun n -> n.bs) rings;
+      bases = Array.map (fun n -> n.sb) rings;
+      rets = Array.map (fun n -> !(n.ret)) rings;
+      tspan = d.d_tspan;
+      template;
+      nhist = !nhist;
+      names = sg.sig_names;
+      out_s = Array.map fst d.d_outs;
+      out_c = Array.map snd d.d_outs;
+      specs;
+      machine_names;
+      mach_off;
+      mach_len;
+      padded },
     extra )
+
+let same_layout a b =
+  a == b
+  || Array.length a = Array.length b
+     && Array.for_all2 String.equal a b
+
+let instantiate ?shared (p : prog) =
+  let sg =
+    match shared with
+    | Some sg ->
+      if not (same_layout sg.sig_names p.names) then
+        invalid_arg "Online: shared signals differ from the program's slots";
+      sg
+    | None -> signals_make (Array.to_list p.names)
+  in
+  let machines =
+    Array.of_list
+      (List.concat_map
+         (fun (s : Spec.t) -> List.map State_machine.start s.Spec.machines)
+         (Array.to_list p.specs))
+  in
+  let nmach = Array.length machines in
+  let pre_modes = Array.map State_machine.current machines in
+  let pre_lookups =
+    if nmach = 0 then [||]
+    else
+      Array.map
+        (fun names name ->
+          let j = machine_index names name in
+          if j < 0 then None else Some pre_modes.(j))
+        p.padded
+  in
+  { ints = Array.copy p.template;
+    slab = Bytes.make (Array.length p.slots) code_unknown;
+    times = Array.make 1 0.0;
+    est =
+      { acc = 0.0; def = 0.0; dt = 0.0; dt_def = 0.0; now = 0.0;
+        last = Float.neg_infinity; first = 0.0 };
+    sg;
+    hval = Array.make (max 1 p.nhist) 0.0;
+    hdef = Bytes.make (max 1 p.nhist) '\000';
+    prog = p;
+    machines;
+    pre_modes;
+    post_modes = Array.map State_machine.current machines;
+    pre_lookups;
+    next_tick = 0;
+    sized = false;
+    finalized = false }
 
 (* Validate the next snapshot without touching any state; [who] names
    the caller in error messages. *)
-let core_check ~who c snapshot =
-  if c.finalized then invalid_arg (who ^ ": monitor already finalized");
+let core_check ~who b snapshot =
+  if b.finalized then invalid_arg (who ^ ": monitor already finalized");
   let time = snapshot.Monitor_trace.Snapshot.time in
-  if time <= c.mf.last_time then
+  if time <= b.est.last then
     invalid_arg
       (Printf.sprintf
          "%s: snapshot times must be strictly increasing (tick %d has time \
           %.9g, tick %d has time %.9g)"
-         who (c.next_tick - 1) c.mf.last_time c.next_tick time)
+         who (b.next_tick - 1) b.est.last b.next_tick time)
 
-(* Bring the clock, the signal slots and the machines up to a checked
-   snapshot, then advance every node once. *)
-let core_advance c snapshot =
+(* Bring the clock, the tick-time ring, the signal slots and the machines
+   up to a checked snapshot, then advance every node once. *)
+let core_advance b snapshot =
   let time = snapshot.Monitor_trace.Snapshot.time in
-  let est = c.env.est in
+  let est = b.est in
   est.now <- time;
-  if c.next_tick = 0 then est.dt_def <- 0.0
+  if b.next_tick = 0 then begin
+    est.dt_def <- 0.0;
+    est.first <- time
+  end
   else begin
-    est.dt <- time -. c.mf.last_time;
-    est.dt_def <- 1.0
+    est.dt <- time -. est.last;
+    est.dt_def <- 1.0;
+    if not b.sized then size b
   end;
-  c.mf.last_time <- time;
-  c.next_tick <- c.next_tick + 1;
-  update_signals c.env.sg snapshot;
+  est.last <- time;
+  let k = b.next_tick in
+  let times = b.times in
+  Array.unsafe_set times (k land (Array.length times - 1)) time;
+  b.next_tick <- k + 1;
+  update_signals b.sg snapshot;
   (* Machines first, rule by rule: guards see pre-step modes through
      their rule's own name table, the formula sees post-step modes — the
      same convention as Offline.eval. *)
-  let nmach = Array.length c.machines in
+  let nmach = Array.length b.machines in
   if nmach > 0 then begin
+    let p = b.prog in
     for j = 0 to nmach - 1 do
-      c.pre_modes.(j) <- State_machine.current c.machines.(j)
+      b.pre_modes.(j) <- State_machine.current b.machines.(j)
     done;
-    for r = 0 to Array.length c.mach_off - 1 do
-      let lookup = c.pre_lookups.(r) in
-      for j = c.mach_off.(r) to c.mach_off.(r) + c.mach_len.(r) - 1 do
-        ignore (State_machine.step c.machines.(j) ~mode_lookup:lookup snapshot)
+    for r = 0 to Array.length p.mach_off - 1 do
+      let lookup = b.pre_lookups.(r) in
+      for j = p.mach_off.(r) to p.mach_off.(r) + p.mach_len.(r) - 1 do
+        ignore (State_machine.step b.machines.(j) ~mode_lookup:lookup snapshot)
       done
     done;
     for j = 0 to nmach - 1 do
-      c.env.post_modes.(j) <- State_machine.current c.machines.(j)
+      b.post_modes.(j) <- State_machine.current b.machines.(j)
     done
   end;
-  let nodes = c.nodes in
-  for i = 0 to Array.length nodes - 1 do
-    advance_self c.env (Array.unsafe_get nodes i) time
-  done;
-  retire_hubs c.hubs
+  retire_hubs b;
+  let exec = b.prog.exec in
+  for i = 0 to Array.length exec - 1 do
+    advance_node b false (Array.unsafe_get exec i)
+  done
 
-let core_finalize ~who c =
-  if c.finalized then invalid_arg (who ^ ": already finalized");
-  c.finalized <- true;
-  let nodes = c.nodes in
-  for i = 0 to Array.length nodes - 1 do
-    finalize_self (Array.unsafe_get nodes i)
-  done;
-  retire_hubs c.hubs
+let core_finalize ~who b =
+  if b.finalized then invalid_arg (who ^ ": already finalized");
+  b.finalized <- true;
+  retire_hubs b;
+  let exec = b.prog.exec in
+  for i = 0 to Array.length exec - 1 do
+    advance_node b true (Array.unsafe_get exec i)
+  done
 
 (* Window occupancy: ticks buffered by the temporal operators. *)
-let core_pending c =
+let core_pending b =
   Array.fold_left
-    (fun acc n ->
-      match n.kind with
-      | Temporal tp -> acc + tp.pend.flen
-      | Leaf _ | Not1 _ | Bin _ | Tap _ -> acc)
-    0 c.nodes
+    (fun acc pn ->
+      match pn with
+      | P_window w -> acc + (b.next_tick - b.ints.(w.ws))
+      | P_leaf _ | P_not _ | P_bin _ -> acc)
+    0 b.prog.exec
 
-let core_modes c r =
-  List.init c.mach_len.(r) (fun i ->
-      let j = c.mach_off.(r) + i in
-      (c.machine_names.(j), State_machine.current c.machines.(j)))
+let core_modes b r =
+  let p = b.prog in
+  List.init p.mach_len.(r) (fun i ->
+      let j = p.mach_off.(r) + i in
+      (p.machine_names.(j), State_machine.current b.machines.(j)))
 
-(* The whole-plan executor: every rule advances in a single pass over the
+(* The whole-plan program: every rule advances in a single pass over the
    topologically ordered node array, each shared subterm's node advanced
    once per tick.  Because a hub's output stream is exactly what a
    private copy of its subtree would emit (same inputs, same
@@ -1170,12 +1261,12 @@ let core_modes c r =
    the whole plan and one one-root plan per rule are batch-identical
    (test_plan's incremental property).
 
-   Steady state allocates nothing: after the rings reach the plan's
-   horizon, a step of a machine-free plan performs no minor-heap
-   allocation (test_online_alloc). *)
-let core_create ?shared (plan : Plan.t) =
+   Steady state allocates nothing: once the rings are sized, a step of a
+   machine-free plan performs no minor-heap allocation
+   (test_online_alloc). *)
+let compile_plan ?shared (plan : Plan.t) =
   fst
-    (core_build ?shared plan (fun sg names_of nhist ->
+    (compile_core ?shared plan (fun sg names_of nhist ->
          let d =
            dag_create plan
              (Array.map (fun (n : Plan.node) -> n.Plan.uses) plan.Plan.nodes)
@@ -1184,23 +1275,26 @@ let core_create ?shared (plan : Plan.t) =
            (fun id (n : Plan.node) ->
              dag_add d sg (names_of n.Plan.owner) nhist id n)
            plan.Plan.nodes;
-         (d, Array.map (dag_edge d) plan.Plan.roots, ())))
+         dag_roots d plan;
+         (d, ())))
 
 module Obs = Monitor_obs.Obs
 
 (* Single-rule monitor ---------------------------------------------------- *)
 
-(* A one-root plan with a batch interface: the root's ring holds the
-   current batch, retired by the next step. *)
+(* A one-root plan with a batch interface: the root's ring from the
+   report cursor holds the current batch, retired by the next step. *)
 type t = {
-  core : core;
-  root : outbuf;
-  mutable reported : int;  (* front entries of [root] already handed out *)
+  core : inst;
+  root : int;
+  cursor : int;
+  mutable reported : int;  (* entries from the cursor already handed out *)
 }
 
 let create ?shared (spec : Spec.t) =
-  let core = core_create ?shared (Plan.compile [ spec ]) in
-  { core; root = core.outs.(0).out; reported = 0 }
+  let p = compile_plan ?shared (Plan.compile [ spec ]) in
+  let core = instantiate ?shared p in
+  { core; root = p.out_s.(0); cursor = p.out_c.(0); reported = 0 }
 
 let m_ticks_online =
   Obs.counter ~labels:[ ("kernel", "online") ]
@@ -1217,10 +1311,18 @@ let m_step_seconds =
     ~help:"Per-tick latency of the incremental online kernel"
     "cps_online_step_seconds"
 
+(* The batch stays readable until the next call: keep its times. *)
+let settle t =
+  let ints = t.core.ints in
+  t.reported <- ints.(t.root) - ints.(t.cursor);
+  ensure_floor t.core ints.(t.cursor);
+  t.reported
+
 let step_resolved t snapshot =
   core_check ~who:"Online.step" t.core snapshot;
   (* Retire the batch handed out by the previous call. *)
-  outbuf_consume t.root t.reported;
+  let ints = t.core.ints in
+  ints.(t.cursor) <- ints.(t.cursor) + t.reported;
   t.reported <- 0;
   if Obs.on () then begin
     let t0 = Obs.time_start () in
@@ -1233,15 +1335,14 @@ let step_resolved t snapshot =
     core_advance t.core snapshot;
     Obs.incr m_ticks_online
   end;
-  t.reported <- t.root.olen;
-  t.reported
+  settle t
 
 let finalize_resolved t =
   core_finalize ~who:"Online.finalize" t.core;
   (* Retire the last step's batch; what remains is the final one. *)
-  outbuf_consume t.root t.reported;
-  t.reported <- t.root.olen;
-  t.reported
+  let ints = t.core.ints in
+  ints.(t.cursor) <- ints.(t.cursor) + t.reported;
+  settle t
 
 let check_resolved_index t i =
   if i < 0 || i >= t.reported then
@@ -1249,23 +1350,21 @@ let check_resolved_index t i =
 
 let resolved_tick t i =
   check_resolved_index t i;
-  t.root.obase + i
+  t.core.ints.(t.cursor) + i
 
 let resolved_time t i =
   check_resolved_index t i;
-  t.root.ot.(outbuf_phys t.root i)
+  let times = t.core.times in
+  times.((t.core.ints.(t.cursor) + i) land (Array.length times - 1))
 
 let resolved_verdict t i =
   check_resolved_index t i;
-  verdict_of_code (Bytes.get t.root.ov (outbuf_phys t.root i))
+  verdict_of_code (code_at t.core t.root (t.core.ints.(t.cursor) + i))
 
 let resolved_get t i =
-  check_resolved_index t i;
-  let o = t.root in
-  let j = outbuf_phys o i in
-  { tick = o.obase + i;
-    time = o.ot.(j);
-    verdict = verdict_of_code (Bytes.get o.ov j) }
+  { tick = resolved_tick t i;
+    time = resolved_time t i;
+    verdict = resolved_verdict t i }
 
 let batch_list t n =
   let rec collect i acc =
@@ -1283,41 +1382,46 @@ let step_iter t snapshot f =
 
 let finalize t = batch_list t (finalize_resolved t)
 
-let pending t = core_pending t.core + (t.root.olen - t.reported)
+let pending t = core_pending t.core + (t.core.ints.(t.root) - t.core.ints.(t.cursor) - t.reported)
 
 let modes t = core_modes t.core 0
 
 (* Whole-plan monitor ----------------------------------------------------- *)
 
 module Fused = struct
-  type t = core
+  type program = prog
+  type t = inst
 
-  let create = core_create
+  let compile = compile_plan
+  let instantiate = instantiate
+  let create ?shared plan = instantiate ?shared (compile_plan ?shared plan)
+  let program (t : t) = t.prog
+  let instance_bytes p ~period = 8 * instance_words_at p ~period
 
-  let rule_count t = Array.length t.outs
+  let rule_count t = Array.length t.prog.out_s
 
   let m_ticks_online_fused =
     Obs.counter ~labels:[ ("kernel", "online_fused") ]
       ~help:"Ticks evaluated, per kernel" "cps_kernel_ticks_total"
 
-  (* Drain every rule's report ring through [f], then retire it. *)
+  (* Report every rule's new entries through [f] and move its cursor
+     past them. *)
   let report t f =
-    for r = 0 to Array.length t.outs - 1 do
-      let o = (Array.unsafe_get t.outs r).out in
-      let k = o.olen in
-      if k > 0 then begin
-        for i = 0 to k - 1 do
-          let j = outbuf_phys o i in
-          f r (o.obase + i) o.ot.(j) (verdict_of_code (Bytes.unsafe_get o.ov j))
-        done;
-        outbuf_consume o k
-      end
+    let p = t.prog and ints = t.ints in
+    for r = 0 to Array.length p.out_s - 1 do
+      let s = p.out_s.(r) and c = p.out_c.(r) in
+      let hi = ints.(s) in
+      for k = ints.(c) to hi - 1 do
+        let times = t.times in
+        f r k times.(k land (Array.length times - 1)) (verdict_of_code (code_at t s k))
+      done;
+      ints.(c) <- hi
     done
 
   let step_iter t snapshot f =
     core_check ~who:"Online.step" t snapshot;
     core_advance t snapshot;
-    Obs.add m_ticks_online_fused (Array.length t.outs);
+    Obs.add m_ticks_online_fused (Array.length t.prog.out_s);
     report t f
 
   let finalize_iter t f =
@@ -1331,9 +1435,9 @@ end
 
 (* [Robust.Online] runs robust nodes over the same substrate: the flat
    signal slots, the slot-compiled expression and immediate-formula
-   evaluators, and a boolean core — clock, machines, and the warm-up
-   masks as boolean plan nodes built and advanced exactly as {!Fused}
-   builds and advances them.  Re-exporting keeps exactly one
+   evaluators, and a boolean instance — clock, tick-time ring, machines,
+   and the warm-up masks as boolean plan nodes built and advanced exactly
+   as {!Fused} builds and advances them.  Re-exporting keeps exactly one
    implementation of each piece.  [estate] is concrete (an all-float
    record) so the robust kernel reads [acc]/[def] as unboxed field
    loads. *)
@@ -1346,14 +1450,16 @@ module Internal = struct
     mutable dt : float;
     mutable dt_def : float;
     mutable now : float;
+    mutable last : float;
+    mutable first : float;
   }
 
   type nonrec env = env
   type nonrec enode = enode
   type nonrec vnode = vnode
-  type nonrec node = node
+  type node = mask
   type nonrec dag = dag
-  type nonrec core = core
+  type core = inst
 
   let env_est (e : env) = e.est
   let compile_expr = compile_expr
@@ -1363,18 +1469,22 @@ module Internal = struct
   let dag_create = dag_create
   let dag_add = dag_add
   let dag_mask = dag_mask
-  let core_build = core_build
+
+  let core_build ?shared plan build =
+    let p, extra = compile_core ?shared plan build in
+    (instantiate ?shared p, extra)
+
   let core_check = core_check
   let core_advance = core_advance
   let core_finalize = core_finalize
-  let core_env c = c.env
+  let core_env (c : core) = c
   let core_ticks c = c.next_tick
   let core_modes = core_modes
-  let out_len (n : node) = n.out.olen
-  let out_base (n : node) = n.out.obase
+  let out_len (e : env) n = e.ints.(n.m_s) - e.ints.(n.m_sb)
+  let out_base (e : env) n = e.ints.(n.m_sb)
 
-  let out_verdict (n : node) i =
-    verdict_of_code (Bytes.get n.out.ov (outbuf_phys n.out i))
+  let out_verdict (e : env) n i =
+    verdict_of_code (code_at e n.m_s (e.ints.(n.m_sb) + i))
 
-  let out_consume (n : node) k = outbuf_consume n.out k
+  let out_consume (e : env) n k = e.ints.(n.m_sb) <- e.ints.(n.m_sb) + k
 end

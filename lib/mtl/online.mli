@@ -116,11 +116,35 @@ val modes : t -> (string * string) list
     shared, see {!Plan}), and steady-state steps of machine-free plans
     allocate nothing. *)
 module Fused : sig
+  type program
+  (** A plan compiled for incremental execution: node kinds, child
+      references, slot-compiled leaves, window offsets and ring sizing
+      facts.  Immutable, so monitors on different domains share one. *)
+
   type t
+  (** One stream's monitor: a handful of flat arrays over a {!program}. *)
+
+  val compile : ?shared:shared -> Plan.t -> program
+  (** Compile against [shared]'s signal slots (must cover every signal
+      of every rule in the plan; use {!shared_for} on [plan.specs]), or
+      against the plan's own signals. *)
+
+  val instantiate : ?shared:shared -> program -> t
+  (** A fresh monitor.  [?shared] must have the slot layout the program
+      was compiled against (a {!shared_for} over the same specs);
+      @raise Invalid_argument otherwise. *)
 
   val create : ?shared:shared -> Plan.t -> t
-  (** [?shared] as in {!val:create}: must cover every signal of every
-      rule in the plan (use {!shared_for} on [plan.specs]). *)
+  (** [instantiate ?shared (compile ?shared plan)]. *)
+
+  val program : t -> program
+
+  val instance_bytes : program -> period:float -> int
+  (** Bytes of one monitor's own state (the program and the signal slots
+      are shared and not counted) once it has sized its rings for a
+      stream whose ticks are [period] seconds apart — the computation the
+      rings are laid out by.  A monitor holds more only if its stream is
+      denser than that, or if the plan has state machines. *)
 
   val rule_count : t -> int
 
@@ -167,6 +191,8 @@ module Internal : sig
     mutable dt : float;      (** time since the previous tick *)
     mutable dt_def : float;  (** 0.0 on the first tick *)
     mutable now : float;     (** current tick time *)
+    mutable last : float;    (** previous tick time *)
+    mutable first : float;   (** time of tick 0 *)
   }
 
   type env
@@ -174,7 +200,7 @@ module Internal : sig
   type vnode
 
   type node
-  (** A boolean plan node. *)
+  (** A boolean plan node of a core's program. *)
 
   type dag
   (** Build-time table of boolean plan nodes. *)
@@ -198,19 +224,20 @@ module Internal : sig
   (** Build plan node [id] (children must be built already) against the
       machine table of its owner. *)
 
-  val dag_mask : dag -> trigger:int -> hold:float -> node
+  val dag_mask : dag -> trigger:int -> hold:float -> ret:float -> node
   (** A private warm-up suppression window over built node [trigger]:
-      [True] at [t] iff the trigger was [True] in [[t - hold, t]]. *)
+      [True] at [t] iff the trigger was [True] in [[t - hold, t]].  Its
+      one reader may leave [ret] seconds of its verdicts unconsumed. *)
 
   val core_build :
     ?shared:shared -> Plan.t ->
-    (signals -> (int -> string array) -> int ref -> dag * node array * 'a) ->
+    (signals -> (int -> string array) -> int ref -> dag * 'a) ->
     core * 'a
   (** [core_build plan build]: [build sg names_of nhist] compiles the
-      boolean nodes into a dag and returns it with the per-rule report
-      nodes, [names_of owner] being the machine table a node of that
-      owner resolves [in_mode] against; ['a] is whatever else [build]
-      compiled against the same signals and history. *)
+      boolean nodes into a dag, [names_of owner] being the machine table
+      a node of that owner resolves [in_mode] against; ['a] is whatever
+      else [build] compiled against the same signals and history.  The
+      dag is compiled into a program and instantiated. *)
 
   val core_check : who:string -> core -> Monitor_trace.Snapshot.t -> unit
   (** Validate the next snapshot; [who] prefixes the error messages. *)
@@ -224,11 +251,11 @@ module Internal : sig
   val core_ticks : core -> int
   val core_modes : core -> int -> (string * string) list
 
-  val out_len : node -> int
-  val out_base : node -> int
-  val out_verdict : node -> int -> Verdict.t
-  val out_consume : node -> int -> unit
-  (** A node's output ring: [out_len] entries, entry [i] being tick
-      [out_base + i]; the consumer reads a prefix and retires it with
-      [out_consume]. *)
+  val out_len : env -> node -> int
+  val out_base : env -> node -> int
+  val out_verdict : env -> node -> int -> Verdict.t
+  val out_consume : env -> node -> int -> unit
+  (** A node's output ring in the core [env]: [out_len] entries, entry
+      [i] being tick [out_base + i]; the node's one reader reads a prefix
+      and retires it with [out_consume]. *)
 end

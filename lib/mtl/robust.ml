@@ -938,15 +938,15 @@ module Online = struct
       rbuf_consume b k
     end
 
-  let r_drain_warmup w_mask body out =
-    let m_len = OI.out_len w_mask in
+  let r_drain_warmup env w_mask body out =
+    let m_len = OI.out_len env w_mask in
     let b = body.rout in
     let k = if m_len < b.blen then m_len else b.blen in
     if k > 0 then begin
-      assert (OI.out_base w_mask = b.bbase);
+      assert (OI.out_base env w_mask = b.bbase);
       for i = 0 to k - 1 do
         let suppressed =
-          match OI.out_verdict w_mask i with
+          match OI.out_verdict env w_mask i with
           | Verdict.True -> true
           | Verdict.False | Verdict.Unknown -> false
         in
@@ -959,7 +959,7 @@ module Online = struct
         out.bh.(j) <- oh;
         out.bt.(j) <- t
       done;
-      OI.out_consume w_mask k;
+      OI.out_consume env w_mask k;
       rbuf_consume b k
     end
 
@@ -1111,10 +1111,10 @@ module Online = struct
       pring_push tp.r_pend time;
       r_absorb_child tp;
       r_try_resolve ~finalizing:false tp node.rout
-    | R_warmup { w_mask; w_body } -> r_drain_warmup w_mask w_body node.rout
+    | R_warmup { w_mask; w_body } -> r_drain_warmup env w_mask w_body node.rout
     | R_tap tap -> r_tap_drain tap node.rout
 
-  let r_finalize_self node =
+  let r_finalize_self env node =
     match node.rkind with
     | R_leaf _ -> ()
     | R_not c -> r_drain_not c node.rout
@@ -1124,7 +1124,7 @@ module Online = struct
     | R_temporal tp ->
       r_absorb_child tp;
       r_try_resolve ~finalizing:true tp node.rout
-    | R_warmup { w_mask; w_body } -> r_drain_warmup w_mask w_body node.rout
+    | R_warmup { w_mask; w_body } -> r_drain_warmup env w_mask w_body node.rout
     | R_tap tap -> r_tap_drain tap node.rout
 
   (* Plan executor -------------------------------------------------------- *)
@@ -1218,7 +1218,10 @@ module Online = struct
                     in
                     rtemporal ~universal ~lo_off ~hi_off (edge child)
                   | Plan.Warmup { trigger; hold; body } ->
-                    let w_mask = OI.dag_mask bdag ~trigger ~hold in
+                    let w_mask =
+                      OI.dag_mask bdag ~trigger ~hold
+                        ~ret:(Formula.horizon pnode.Plan.form)
+                    in
                     node (R_warmup { w_mask; w_body = edge body })
                 in
                 push n;
@@ -1228,7 +1231,6 @@ module Online = struct
             plan.Plan.nodes;
           let outs = Array.map edge plan.Plan.roots in
           ( bdag,
-            [||],
             ( Array.of_list (List.rev !exec),
               Array.of_list (List.rev !hubs),
               outs ) ))
@@ -1257,7 +1259,7 @@ module Online = struct
     OI.core_finalize ~who c.bcore;
     let nodes = c.rexec in
     for i = 0 to Array.length nodes - 1 do
-      r_finalize_self (Array.unsafe_get nodes i)
+      r_finalize_self c.env (Array.unsafe_get nodes i)
     done;
     retire_hubs c.rhubs
 
@@ -1357,7 +1359,7 @@ module Online = struct
   (* Sound bracketing interval for one unresolved tick: what is already
      known from resolved subresults, widened where the future can still
      move the value.  Cold path — recursive walk, allocates freely. *)
-  let rec node_bounds nd (tick : int) (time : float) : float * float =
+  let rec node_bounds env nd (tick : int) (time : float) : float * float =
     let o = nd.rout in
     if tick >= o.bbase && tick < o.bbase + o.blen then begin
       let j = rbuf_phys o (tick - o.bbase) in
@@ -1367,28 +1369,28 @@ module Online = struct
     else
       match nd.rkind with
       | R_leaf _ -> (Float.neg_infinity, Float.infinity)
-      | R_tap tap -> node_bounds tap.r_src tick time
+      | R_tap tap -> node_bounds env tap.r_src tick time
       | R_not c ->
-        let l, h = node_bounds c tick time in
+        let l, h = node_bounds env c tick time in
         (-.h, -.l)
       | R_and (a, b) ->
-        let la, ha = node_bounds a tick time in
-        let lb, hb = node_bounds b tick time in
+        let la, ha = node_bounds env a tick time in
+        let lb, hb = node_bounds env b tick time in
         (fmin la lb, fmin ha hb)
       | R_or (a, b) ->
-        let la, ha = node_bounds a tick time in
-        let lb, hb = node_bounds b tick time in
+        let la, ha = node_bounds env a tick time in
+        let lb, hb = node_bounds env b tick time in
         (fmax la lb, fmax ha hb)
       | R_implies (a, b) ->
-        let la, ha = node_bounds a tick time in
-        let lb, hb = node_bounds b tick time in
+        let la, ha = node_bounds env a tick time in
+        let lb, hb = node_bounds env b tick time in
         (fmax (-.ha) lb, fmax (-.la) hb)
       | R_warmup { w_mask; w_body } ->
-        let mb = OI.out_base w_mask and ml = OI.out_len w_mask in
+        let mb = OI.out_base env w_mask and ml = OI.out_len env w_mask in
         if tick >= mb && tick < mb + ml then begin
-          match OI.out_verdict w_mask (tick - mb) with
+          match OI.out_verdict env w_mask (tick - mb) with
           | Verdict.True -> (Float.neg_infinity, Float.infinity)
-          | Verdict.False | Verdict.Unknown -> node_bounds w_body tick time
+          | Verdict.False | Verdict.Unknown -> node_bounds env w_body tick time
         end
         else (Float.neg_infinity, Float.infinity)
       | R_temporal tp ->
@@ -1432,7 +1434,7 @@ module Online = struct
     let out = ref [] in
     for i = t.proot.plen - 1 downto 0 do
       let time = t.proot.pv.(pring_phys t.proot i) in
-      let l, h = node_bounds t.core.outs.(0) (first + i) time in
+      let l, h = node_bounds t.env t.core.outs.(0) (first + i) time in
       out :=
         { tick = first + i; time; bounds = { lo = l; hi = h } } :: !out
     done;

@@ -70,13 +70,20 @@ let test_dbc_big_endian_signal () =
 
 let test_dbc_errors () =
   List.iter
-    (fun (src, why) ->
+    (fun (src, why, located) ->
       match Dbc_text.of_string src with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.fail ("should reject: " ^ why))
-    [ ("SG_ X : 0|8@1+ (1,0) [0|1] \"\" RX\n", "signal outside message");
-      ("BO_ 1 A: 1 E\n SG_ X : 0|8@3+ (1,0) [0|1] \"\" RX\n", "bad endian");
-      ("BO_ 1 A: 1 E\nBO_ 1 B: 1 E\n", "duplicate id") ]
+      | Error msg ->
+        if located && not (String.length msg > 5 && String.sub msg 0 5 = "line ")
+        then Alcotest.failf "%s: error %S names no line" why msg
+      | Ok _ -> Alcotest.fail ("should reject: " ^ why)
+      | exception e ->
+        Alcotest.failf "%s: raised %s" why (Printexc.to_string e))
+    [ ("SG_ X : 0|8@1+ (1,0) [0|1] \"\" RX\n", "signal outside message", true);
+      ("BO_ 1 A: 1 E\n SG_ X : 0|8@3+ (1,0) [0|1] \"\" RX\n", "bad endian", true);
+      ("BO_ 1 A: 1 E\nBO_ 1 B: 1 E\n", "duplicate id", false);
+      ("BO_ 1 A: 8 E\n SG_ X : 0|65@1+ (1,0) [0|1] \"\" RX\n", "length 65", true);
+      ("BO_ 1 A: 8 E\n SG_ X : 0|8@1+ (0,0) [0|1] \"\" RX\n", "zero scale", true)
+    ]
 
 let test_dbc_print_reparse_behaviour () =
   (* Printing our FSRACC database and reparsing must preserve layout,
@@ -85,6 +92,8 @@ let test_dbc_print_reparse_behaviour () =
   match Dbc_text.of_string (Dbc_text.to_string original) with
   | Error msg -> Alcotest.fail msg
   | Ok reparsed ->
+    Alcotest.(check string) "print/reparse/print is byte-identical"
+      (Dbc_text.to_string original) (Dbc_text.to_string reparsed);
     List.iter2
       (fun (a : Message.t) (b : Message.t) ->
         Alcotest.(check int) "id" a.Message.id b.Message.id;

@@ -128,6 +128,40 @@ let test_expression_leaves_allocate_nothing () =
   in
   check_zero_alloc "expression leaves" monitors snaps
 
+(* The instance bound: after 20 s of a simulated road drive on the
+   fleet's stale-guarded paper plan, a boolean monitor's own state (its
+   program and the signal slots are shared, so not counted) is no larger
+   than the figure the executor reports for a 10 ms stream, and within
+   10 KB. *)
+let test_instance_within_reported_bound () =
+  let result =
+    Monitor_hil.Sim.run
+      (Monitor_hil.Sim.default_config
+         (Monitor_hil.Scenario.urban_following ~duration:20.0 ()))
+  in
+  let snaps =
+    Monitor_oracle.Oracle.snapshots_of_trace result.Monitor_hil.Sim.trace
+  in
+  let wrapped = List.map (fun s -> Spec.stale_guarded s) Monitor_oracle.Rules.all in
+  let plan = Plan.compile wrapped in
+  let shared = Online.shared_for wrapped in
+  let program = Online.Fused.compile ~shared plan in
+  let monitor = Online.Fused.instantiate ~shared program in
+  List.iter (fun snap -> Online.Fused.step_iter monitor snap (fun _ _ _ _ -> ())) snaps;
+  Alcotest.(check bool) "the drive lasts 20 s" true (List.length snaps >= 2000);
+  let total = Obj.reachable_words (Obj.repr monitor) in
+  (* A 4-word triple reaches exactly the shared part: the program, the
+     signal slots and the static empty array a machine-free monitor's
+     machine tables are. *)
+  let shared_words =
+    Obj.reachable_words (Obj.repr (program, shared, [||])) - 4
+  in
+  let own = 8 * (total - shared_words) in
+  let reported = Online.Fused.instance_bytes program ~period:0.01 in
+  if own > reported then
+    Alcotest.failf "instance holds %d bytes, reported bound %d" own reported;
+  if own > 10 * 1024 then Alcotest.failf "instance holds %d bytes > 10 KB" own
+
 let suite =
   [ ( "online allocation",
       [ Alcotest.test_case "paper rules: steady state allocates nothing"
@@ -135,4 +169,6 @@ let suite =
         Alcotest.test_case "shared env + stale guard: allocates nothing"
           `Slow test_shared_env_allocates_nothing;
         Alcotest.test_case "expression leaves: allocate nothing" `Slow
-          test_expression_leaves_allocate_nothing ] ) ]
+          test_expression_leaves_allocate_nothing;
+        Alcotest.test_case "instance within its reported bound" `Quick
+          test_instance_within_reported_bound ] ) ]
