@@ -5,37 +5,30 @@ let time_eps = Window.time_eps
 (* Incremental per-tick evaluation with amortised-O(1) window state and
    zero steady-state allocation (DESIGN.md §12).
 
-   The previous kernel pushed a heap-allocated [resolution] record through
-   a [Queue.t] per node per tick and kept per-operator [future]/[counted]
-   queue pairs, so the steady state churned the minor heap in proportion
-   to formula size.  This kernel keeps the same dataflow — every node
-   resolves a prefix of the tick stream, parents consume their children's
-   output destructively — over the nodes of a {!Plan}, advanced children
-   first by one array pass per tick, and stores it all in flat reusable
-   state:
+   Every node resolves a prefix of the tick stream and its parents
+   consume that output in order, over the nodes of a {!Plan} advanced
+   children first by one array pass per tick.  The state is flat:
 
-   - node outputs are ring buffers of verdict bytes + times (grown by
-     doubling, then reused forever);
-   - each temporal operator holds one window ring whose front [counted]
-     entries are inside the current pending tick's window, summarised by
-     the three counters [nt]/[nf]/[nu] (the same three-counter shape as
-     [Offline.window_scan]);
-   - pending ticks are a times-only ring — the tick numbers are implicit
-     in the ring base, advanced monotonically as verdicts resolve;
+   - node outputs are rings of verdict bytes in one slab, indexed by
+     absolute tick; the ticks' times live once, in one tick-time ring;
+   - each temporal operator reads its child's ring in place from its
+     cursor: the front [counted] entries are inside the current pending
+     tick's window, summarised by the three counters [nt]/[nf]/[nu] (the
+     same three-counter shape as [Offline.window_scan]); its pending
+     ticks are the range from its resolved count to the current tick;
    - leaf evaluation reads flat per-signal slots (the online analogue of
      [Trace.Columns]) refreshed once per tick by a merge walk over the
      sorted snapshot entries, and expression history lives in one flat
      float array per monitor instead of per-node [result ref]s.
 
-   Allocation discipline: after the rings reach the formula's horizon, a
-   [step] of a machine-free spec performs no minor-heap allocation at all
-   (asserted by [test/test_online_alloc.ml]).  The rules that make this
-   hold are (a) no float may cross a function boundary unless it is
-   already boxed (the snapshot's own [time] field qualifies), so ring
-   pushes reserve an index and let the caller store into the float array
-   directly; (b) all mutable per-tick floats live in float arrays or
-   all-float records (mixed records box their float fields on every
-   write); (c) no options, no queues, no closures on the per-tick path. *)
+   Allocation discipline: once the rings are sized, a [step] of a
+   machine-free spec performs no minor-heap allocation at all (asserted
+   by [test/test_online_alloc.ml]).  The rules that make this hold are
+   (a) no float may cross a function boundary unless it is already boxed
+   (the snapshot's own [time] field qualifies); (b) all mutable per-tick
+   floats live in float arrays or all-float records (mixed records box
+   their float fields on every write); (c) no options, no queues, no
+   closures on the per-tick path. *)
 
 (* Verdict <-> byte codes for ring storage. *)
 let code_true = '\000'
@@ -364,9 +357,8 @@ type prog = {
   padded : string array array;
 }
 
-(* Field order is deliberate: the minor GC promotes an instance's blocks
-   in field order, and the fleet's interleaved sessions are sensitive to
-   where the per-step state lands. *)
+(* The per-step arrays come first: the minor GC promotes a record's
+   blocks in field order, which places them next to each other. *)
 type inst = {
   ints : int array;
   mutable slab : Bytes.t;
@@ -897,7 +889,7 @@ let retire_hubs b =
    consuming edges each id has in this executor, and the program
    accumulated so far.  Plan ids are topologically ordered, so adding
    them in id order builds children first.  A node with more than one
-   consumer is a hub, with a base of its own and one cursor per edge.  A
+   consumer is a hub, with a base of its own.  A
    node's lag is its formula's horizon: how long after tick [t] its
    verdict at [t] may stay pending; a ring retains what its slowest
    reader has not yet consumed. *)
@@ -911,16 +903,14 @@ type built = {
 
 type dag = {
   d_built : built option array;
-  d_uses : int array;
   mutable d_nints : int;
   mutable d_exec : (built * (int -> pnode)) list;  (* reversed *)
   mutable d_tspan : float;
   mutable d_outs : (int * int) array;
 }
 
-let dag_create (plan : Plan.t) uses =
+let dag_create (plan : Plan.t) =
   { d_built = Array.make (Array.length plan.Plan.nodes) None;
-    d_uses = uses;
     d_nints = 0;
     d_exec = [];
     d_tspan = 0.0;
@@ -931,10 +921,10 @@ let dag_alloc d k =
   d.d_nints <- s + k;
   s
 
-(* A node at slots [s]; [hub] nodes get a base slot of their own. *)
-let dag_node d ~s ~hub ~lag mk =
+(* A node at slots [s]; its base slot is settled once its readers are
+   known. *)
+let dag_node d ~s ~lag mk =
   let n = { bs = s; sb = -1; ret = ref 0.0; lag; cursors = [] } in
-  if hub then n.sb <- dag_alloc d 1;
   d.d_exec <- (n, mk) :: d.d_exec;
   n
 
@@ -949,10 +939,10 @@ let built d id = match d.d_built.(id) with Some n -> n | None -> assert false
 
 let dag_edge d id ~cursor ~ret = edge_of (built d id) ~cursor ~ret
 
-let window_node d ~s ~hub ~lag ~sem ~lo_off ~hi_off c =
+let window_node d ~s ~lag ~sem ~lo_off ~hi_off c =
   let span = lag +. Float.max 0.0 (-.lo_off) in
   if span > d.d_tspan then d.d_tspan <- span;
-  dag_node d ~s ~hub ~lag (fun wsb ->
+  dag_node d ~s ~lag (fun wsb ->
       P_window { ws = s; wsb; sem; lo_off; hi_off; wc = c })
 
 (* A warm-up's suppression window: [True] at tick [t] iff the trigger was
@@ -965,7 +955,7 @@ let dag_mask_built d ~trigger ~hold ~ret =
     dag_edge d trigger ~cursor:(s + i_cursor) ~ret:(lag +. hold)
   in
   let m =
-    window_node d ~s ~hub:false ~lag ~sem:Window.Mask ~lo_off:(-.hold)
+    window_node d ~s ~lag ~sem:Window.Mask ~lo_off:(-.hold)
       ~hi_off:0.0 c
   in
   m.ret := ret;
@@ -981,23 +971,22 @@ let dag_mask d ~trigger ~hold ~ret =
 
 let dag_add d sg names nhist id (pnode : Plan.node) =
   let lag = Formula.horizon pnode.Plan.form in
-  let hub = d.d_uses.(id) > 1 in
   let bin op a b =
     let s = dag_alloc d 2 in
     let a = dag_edge d a ~cursor:s ~ret:lag in
     let b = dag_edge d b ~cursor:s ~ret:lag in
-    dag_node d ~s ~hub ~lag (fun sb -> P_bin { s; sb; op; a; b })
+    dag_node d ~s ~lag (fun sb -> P_bin { s; sb; op; a; b })
   in
   let n =
     match pnode.Plan.shape with
     | Plan.Atom ->
       let v = compile_vnode sg names nhist pnode.Plan.form in
       let s = dag_alloc d 2 in
-      dag_node d ~s ~hub ~lag (fun sb -> P_leaf { s; sb; v })
+      dag_node d ~s ~lag (fun sb -> P_leaf { s; sb; v })
     | Plan.Not c ->
       let s = dag_alloc d 2 in
       let c = dag_edge d c ~cursor:s ~ret:lag in
-      dag_node d ~s ~hub ~lag (fun sb -> P_not { s; sb; c })
+      dag_node d ~s ~lag (fun sb -> P_not { s; sb; c })
     | Plan.And (a, b) -> bin 0 a b
     | Plan.Or (a, b) -> bin 1 a b
     | Plan.Implies (a, b) -> bin 2 a b
@@ -1008,13 +997,13 @@ let dag_add d sg names nhist id (pnode : Plan.node) =
         dag_edge d child ~cursor:(s + i_cursor)
           ~ret:(lag +. Float.max 0.0 (-.lo_off))
       in
-      window_node d ~s ~hub ~lag ~sem ~lo_off ~hi_off c
+      window_node d ~s ~lag ~sem ~lo_off ~hi_off c
     | Plan.Warmup { trigger; hold; body } ->
       let m = dag_mask_built d ~trigger ~hold ~ret:lag in
       let s = dag_alloc d 2 in
       let a = edge_of m ~cursor:s ~ret:lag in
       let b = dag_edge d body ~cursor:s ~ret:lag in
-      dag_node d ~s ~hub ~lag (fun sb -> P_bin { s; sb; op = 3; a; b })
+      dag_node d ~s ~lag (fun sb -> P_bin { s; sb; op = 3; a; b })
   in
   d.d_built.(id) <- Some n
 
@@ -1085,10 +1074,9 @@ let compile_core ?shared (plan : Plan.t) build =
      from its own base, the minimum over its readers' cursors. *)
   Array.iter
     (fun (n, _) ->
-      if n.sb < 0 then
-        match n.cursors with
-        | [ c ] -> n.sb <- c
-        | _ -> n.sb <- dag_alloc d 1)
+      match n.cursors with
+      | [ c ] -> n.sb <- c
+      | _ -> n.sb <- dag_alloc d 1)
     exec;
   let rings = Array.map fst exec in
   let template = Array.make d.d_nints 0 in
@@ -1267,10 +1255,7 @@ let core_modes b r =
 let compile_plan ?shared (plan : Plan.t) =
   fst
     (compile_core ?shared plan (fun sg names_of nhist ->
-         let d =
-           dag_create plan
-             (Array.map (fun (n : Plan.node) -> n.Plan.uses) plan.Plan.nodes)
-         in
+         let d = dag_create plan in
          Array.iteri
            (fun id (n : Plan.node) ->
              dag_add d sg (names_of n.Plan.owner) nhist id n)
@@ -1395,7 +1380,6 @@ module Fused = struct
   let compile = compile_plan
   let instantiate = instantiate
   let create ?shared plan = instantiate ?shared (compile_plan ?shared plan)
-  let program (t : t) = t.prog
   let instance_bytes p ~period = 8 * instance_words_at p ~period
 
   let rule_count t = Array.length t.prog.out_s

@@ -13,9 +13,10 @@
     with a batch interface.  The kernel is incremental per-tick
     evaluation over flat state (DESIGN.md §12): leaves read per-signal
     slots refreshed once per tick, each temporal operator slides a
-    three-counter ring-buffer window by monotone index advance, and every
-    node's output is a reusable ring of verdict bytes.  All buffers grow by doubling up to the formula's
-    horizon and are then reused, so a steady-state {!step_resolved} of a
+    three-counter window over its child's ring by monotone index advance,
+    and every node's output is a ring of verdict bytes in one slab.  The
+    rings are sized from the formula's horizon and the stream's tick
+    spacing and then reused, so a steady-state {!step_resolved} of a
     machine-free spec performs {e no} minor-heap allocation (asserted by
     [test/test_online_alloc.ml]); per-operator cost is amortised O(1) per
     tick.
@@ -137,8 +138,6 @@ module Fused : sig
   val create : ?shared:shared -> Plan.t -> t
   (** [instantiate ?shared (compile ?shared plan)]. *)
 
-  val program : t -> program
-
   val instance_bytes : program -> period:float -> int
   (** Bytes of one monitor's own state (the program and the signal slots
       are shared and not counted) once it has sized its rings for a
@@ -215,9 +214,10 @@ module Internal : sig
   val compile_vnode : signals -> string array -> int ref -> Formula.t -> vnode
   val eval_vnode : env -> vnode -> Verdict.t
 
-  val dag_create : Plan.t -> int array -> dag
-  (** [uses.(id)] is the number of consuming edges plan node [id] has in
-      this executor; nodes with more than one are read through taps. *)
+  val dag_create : Plan.t -> dag
+  (** An empty table for the plan's nodes; a node built into it with
+      more than one consuming edge keeps its entries until the slowest
+      reader has passed them. *)
 
   val dag_add :
     dag -> signals -> string array -> int ref -> int -> Plan.node -> unit

@@ -1170,7 +1170,7 @@ module Online = struct
     let r_uses, b_uses = domains plan in
     let bcore, (rexec, rhubs, outs) =
       OI.core_build ?shared plan (fun sg names_of nhist ->
-          let bdag = OI.dag_create plan b_uses in
+          let bdag = OI.dag_create plan in
           let built = Array.make (Array.length plan.Plan.nodes) None in
           let exec = ref [] and hubs = ref [] in
           let push n = exec := n :: !exec in
