@@ -129,9 +129,6 @@ type session = {
          rule per session keeps bundle existence a per-session property,
          independent of cross-session scheduling *)
   mutable min_rob : float;  (* per-session min resolved hi; robust_gauges *)
-  shard_id : int;
-  mutable row : string;  (* this session's cached /sessions row *)
-  mutable dirty : bool;  (* [row] is stale *)
 }
 
 (* Everything a shard mutates lives inside it.  Shards partition the VIN
@@ -144,9 +141,6 @@ type shard = {
   mutable queue_hw : int;
   sessions : (string, session) Hashtbl.t;
   mutable roster : string list;  (* creation order, newest first *)
-  mutable fresh : session list;
-      (* sessions created since the status document last took them in,
-         newest first; [publish_status] only *)
   mutable frames_in : int;
   mutable shed : int;
   shed_by_vin : (string, int) Hashtbl.t;
@@ -213,8 +207,6 @@ type t = {
   shards : shard array;
   mutable closed : bool;
   mutable cached_summary : summary option;
-  mutable status_rows : session array;
-      (* every session in VIN order; producer domain only *)
   (* producer-domain counters *)
   mutable rejected : int;
   mutable blocked : int;
@@ -254,7 +246,6 @@ let create ?pool ?progress (cfg : config) =
           queue_hw = 0;
           sessions = Hashtbl.create 64;
           roster = [];
-          fresh = [];
           frames_in = 0;
           shed = 0;
           shed_by_vin = Hashtbl.create 8;
@@ -284,7 +275,6 @@ let create ?pool ?progress (cfg : config) =
     shards;
     closed = false;
     cached_summary = None;
-    status_rows = [||];
     rejected = 0;
     blocked = 0;
     m_live =
@@ -343,7 +333,7 @@ let new_incarnation t =
          Some (Monitor_mtl.Robust.Online.Fused.create ~shared t.plan)
        else None) }
 
-let new_session t (shard : shard) vin =
+let new_session t vin =
   { vin;
     seed = Prng.derive t.cfg.seed (vin_hash vin);
     state = Active (new_incarnation t);
@@ -360,19 +350,15 @@ let new_session t (shard : shard) vin =
     last_frame = neg_infinity;
     recorder = Option.map Recorder.create t.cfg.recorder;
     bundled_rules = [];
-    min_rob = Float.infinity;
-    shard_id = shard.sh_index;
-    row = "";
-    dirty = true }
+    min_rob = Float.infinity }
 
 let find_session t (shard : shard) vin =
   match Hashtbl.find_opt shard.sessions vin with
   | Some s -> s
   | None ->
-    let s = new_session t shard vin in
+    let s = new_session t vin in
     Hashtbl.add shard.sessions vin s;
     shard.roster <- vin :: shard.roster;
-    if t.cfg.publish_status then shard.fresh <- s :: shard.fresh;
     s
 
 (* First False per rule per session: freeze the flight-recorder ring into
@@ -427,7 +413,6 @@ let record t s j tick time v =
 let step t (sh : shard) s inc snap =
   let tick = s.ticks in
   s.ticks <- tick + 1;
-  s.dirty <- true;
   (match t.cfg.inject_fault with
   | Some hook -> hook ~vin:s.vin ~tick
   | None -> ());
@@ -449,7 +434,6 @@ let step t (sh : shard) s inc snap =
   | None -> ()
 
 let finalize_incarnation t (sh : shard) s inc =
-  s.dirty <- true;
   Online.Fused.finalize_iter inc.fused (fun j tick time v ->
       record t s j tick time v);
   match inc.rfused with
@@ -469,7 +453,6 @@ let quarantine t s ~at e =
       f_restarts = s.restarts }
   in
   s.faults <- fault :: s.faults;
-  s.dirty <- true;
   Obs.incr t.m_quarantines;
   (match s.recorder with
   | Some r ->
@@ -503,7 +486,6 @@ let feed_frame t shard s inc frame =
 
 let deliver t shard (frame : frame) =
   let s = find_session t shard frame.vin in
-  s.dirty <- true;
   match s.state with
   | Active inc -> feed_frame t shard s inc frame
   | In_quarantine { until; _ } ->
@@ -610,51 +592,48 @@ let state_fields s =
   | Evicted (Evicted_idle _) -> ("evicted:idle", None)
   | Evicted (Served | Quarantined _) -> ("evicted", None)
 
-(* One session's /sessions row. *)
-let render_row s =
+(* The /sessions payload.  Built on the producer domain between pumps —
+   the only moment no worker holds a shard — and published through an
+   atomic cell so the status-endpoint domain reads a complete document
+   without ever touching shard state. *)
+let render_status t =
   let esc = Monitor_obs.Metrics.json_escape in
-  let b = Buffer.create 256 in
-  let state, backoff = state_fields s in
-  let total = s.v_true + s.v_false + s.v_unknown in
-  let avail =
-    if total = 0 then 0.0
-    else float_of_int (s.v_true + s.v_false) /. float_of_int total
+  let rows = ref [] in
+  Array.iter
+    (fun (sh : shard) ->
+      Hashtbl.iter (fun _ s -> rows := (s, sh.sh_index) :: !rows) sh.sessions)
+    t.shards;
+  let rows =
+    List.sort (fun (a, _) (b, _) -> String.compare a.vin b.vin) !rows
   in
-  Printf.bprintf b
-    "{\"vin\":\"%s\",\"shard\":%d,\"state\":\"%s\",\"frames\":%d,\
-     \"dropped\":%d,\"ticks\":%d,\"verdicts\":{\"true\":%d,\"false\":%d,\
-     \"unknown\":%d},\"availability\":%s,\"min_robustness\":%s,\
-     \"restarts\":%d,\"faults\":%d,\"backoff_until\":%s"
-    (esc s.vin) s.shard_id state s.frames s.dropped s.ticks s.v_true
-    s.v_false s.v_unknown (json_float avail) (json_float s.min_rob)
-    s.restarts (List.length s.faults)
-    (match backoff with Some u -> json_float u | None -> "null");
-  (match s.recorder with
-  | Some r ->
-    Printf.bprintf b
-      ",\"recorder_frames\":%d,\"bundles\":%d,\"bundle_errors\":%d"
-      (Recorder.frames r) (Recorder.bundles_written r)
-      (Recorder.bundle_errors r)
-  | None -> ());
-  Buffer.add_char b '}';
-  Buffer.contents b
-
-let by_vin a b = String.compare a.vin b.vin
-
-(* The /sessions payload from [rows] (every session, in VIN order).
-   Built on the producer domain between pumps — the only moment no
-   worker holds a shard — and published through an atomic cell so the
-   status-endpoint domain reads a complete document without ever
-   touching shard state.  Only the rows of sessions touched since the
-   last render (a delivered frame, a tick, a fault, an eviction) are
-   formatted again. *)
-let render_rows t rows row =
   let b = Buffer.create 4096 in
   Buffer.add_string b "{\"sessions\":[";
-  Array.iteri
-    (fun i s ->
+  List.iteri
+    (fun i (s, shard_id) ->
       if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (row s))
+      let state, backoff = state_fields s in
+      let total = s.v_true + s.v_false + s.v_unknown in
+      let avail =
+        if total = 0 then 0.0
+        else float_of_int (s.v_true + s.v_false) /. float_of_int total
+      in
+      Printf.bprintf b
+        "{\"vin\":\"%s\",\"shard\":%d,\"state\":\"%s\",\"frames\":%d,\
+         \"dropped\":%d,\"ticks\":%d,\"verdicts\":{\"true\":%d,\"false\":%d,\
+         \"unknown\":%d},\"availability\":%s,\"min_robustness\":%s,\
+         \"restarts\":%d,\"faults\":%d,\"backoff_until\":%s"
+        (esc s.vin) shard_id state s.frames s.dropped s.ticks s.v_true
+        s.v_false s.v_unknown (json_float avail) (json_float s.min_rob)
+        s.restarts (List.length s.faults)
+        (match backoff with Some u -> json_float u | None -> "null");
+      (match s.recorder with
+      | Some r ->
+        Printf.bprintf b
+          ",\"recorder_frames\":%d,\"bundles\":%d,\"bundle_errors\":%d"
+          (Recorder.frames r) (Recorder.bundles_written r)
+          (Recorder.bundle_errors r)
+      | None -> ());
+      Buffer.add_char b '}')
     rows;
   Buffer.add_string b "],\"shards\":[";
   Array.iteri
@@ -675,51 +654,6 @@ let render_rows t rows row =
     (Array.fold_left (fun a (sh : shard) -> a + sh.shed) 0 t.shards)
     t.rejected t.blocked;
   Buffer.contents b
-
-(* Take the sessions created since the last render into the VIN-ordered
-   rows: sort the new ones and merge. *)
-let render_status t =
-  let fresh =
-    Array.fold_left
-      (fun acc (sh : shard) ->
-        let f = sh.fresh in
-        sh.fresh <- [];
-        List.rev_append f acc)
-      [] t.shards
-  in
-  if fresh <> [] then begin
-    let old = t.status_rows and add = Array.of_list fresh in
-    Array.stable_sort by_vin add;
-    let no = Array.length old and na = Array.length add in
-    let merged = Array.make (no + na) add.(0) in
-    let i = ref 0 and j = ref 0 in
-    for k = 0 to no + na - 1 do
-      if !j >= na || (!i < no && by_vin old.(!i) add.(!j) <= 0) then begin
-        merged.(k) <- old.(!i);
-        incr i
-      end
-      else begin
-        merged.(k) <- add.(!j);
-        incr j
-      end
-    done;
-    t.status_rows <- merged
-  end;
-  render_rows t t.status_rows (fun s ->
-      if s.dirty then begin
-        s.row <- render_row s;
-        s.dirty <- false
-      end;
-      s.row)
-
-let render_status_from_scratch t =
-  let rows = ref [] in
-  Array.iter
-    (fun (sh : shard) -> Hashtbl.iter (fun _ s -> rows := s :: !rows) sh.sessions)
-    t.shards;
-  let rows = Array.of_list !rows in
-  Array.stable_sort by_vin rows;
-  render_rows t rows render_row
 
 let publish_status_now t =
   if t.cfg.publish_status then Atomic.set t.status (render_status t);
@@ -816,7 +750,6 @@ let advance t ~now =
             (match s.state with
             | Active _ ->
               s.state <- Evicted (Evicted_idle s.last_frame);
-              s.dirty <- true;
               Obs.incr t.m_evicted_idle
             | In_quarantine _ | Evicted _ -> ())
           | _ -> ())

@@ -178,12 +178,6 @@ val advance : t -> now:float -> unit
 val live_sessions : t -> int
 (** Sessions currently active or quarantined (not evicted). *)
 
-val render_status_from_scratch : t -> string
-(** The {!published_status} document rebuilt from every session, sorted
-    and formatted afresh (the published one re-formats only the rows of
-    sessions touched since the last render).  Producer domain, between
-    pumps; for tests. *)
-
 val published_status : t -> string
 (** The latest /sessions JSON document: per-VIN state (verdict counts,
     availability, min robustness, restarts, quarantine backoff deadline,

@@ -638,14 +638,22 @@ let pow2_at_least n =
 
 (* Ring capacity, in ticks, for [span] seconds of ticks [dt] apart: the
    span's ticks, the one being written and slack for the epsilon of the
-   window endpoints.  Pre-sizing stops at [max_presize] ticks; denser
-   needs grow on demand. *)
+   window endpoints, as a power of two.  [None] for an unbounded span,
+   whose ring grows with the stream. *)
+let span_ticks ~dt span =
+  let n = Float.ceil (span /. dt) +. 2.0 in
+  if n <= float_of_int (1 lsl 40) then Some (pow2_at_least (int_of_float n))
+  else None
+
+(* Rings are pre-sized to at most [max_presize] ticks (a misjudged
+   spacing must not lay out a huge slab); a ring that must hold more
+   doubles on demand up to its [span_ticks]. *)
 let max_presize = 4096
 
-let ticks_for ~dt span =
-  let n = Float.ceil (span /. dt) in
-  if Float.is_nan n || n > float_of_int max_presize then max_presize
-  else int_of_float n + 2
+let presize ~dt span =
+  match span_ticks ~dt span with
+  | Some n -> min n max_presize
+  | None -> max_presize
 
 (* Re-lay the slab out with ring [k] (in [prog.slots] order) at capacity
    [caps.(k)], copying every ring's retained entries. *)
@@ -710,24 +718,24 @@ let size b =
   relayout b
     (Array.mapi
        (fun k s ->
-         pow2_at_least
-           (max (ticks_for ~dt p.rets.(k))
-              (ints.(s + i_hi) - ints.(p.bases.(k)) + 1)))
+         max (presize ~dt p.rets.(k))
+           (pow2_at_least (ints.(s + i_hi) - ints.(p.bases.(k)) + 1)))
        p.slots);
-  let need = pow2_at_least (ticks_for ~dt p.tspan) in
+  let need = presize ~dt p.tspan in
   if need > Array.length b.times then ensure_floor b (b.next_tick - need + 1)
 
 (* Words of an instance's own blocks (the program and the signal slots
    are shared and not counted) for a machine-free plan on a stream
-   [period] seconds apart, by the computation [size] lays the rings out
-   by. *)
+   [period] seconds apart: every ring at the capacity [size] and growth
+   settle it at.  An unbounded span counts its pre-size. *)
 let instance_words_at (p : prog) ~period =
-  let slab =
-    Array.fold_left
-      (fun acc r -> acc + pow2_at_least (ticks_for ~dt:period r))
-      0 p.rets
+  let settled span =
+    match span_ticks ~dt:period span with
+    | Some n -> n
+    | None -> max_presize
   in
-  let times = pow2_at_least (ticks_for ~dt:period p.tspan) in
+  let slab = Array.fold_left (fun acc r -> acc + settled r) 0 p.rets in
+  let times = settled p.tspan in
   let hist = max 1 p.nhist in
   let record = 1 + 15 and est = 1 + 7 in
   record + est

@@ -142,8 +142,10 @@ module Fused : sig
   (** Bytes of one monitor's own state (the program and the signal slots
       are shared and not counted) once it has sized its rings for a
       stream whose ticks are [period] seconds apart — the computation the
-      rings are laid out by.  A monitor holds more only if its stream is
-      denser than that, or if the plan has state machines. *)
+      rings are laid out and grown by.  A monitor holds more only if its
+      stream is denser than that, if the plan has state machines, or if
+      it has unbounded windows (whose rings grow with the stream; the
+      figure counts them at their initial 4096 ticks). *)
 
   val rule_count : t -> int
 

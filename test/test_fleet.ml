@@ -523,77 +523,6 @@ let chaos_property =
         seq_summary.Fleet.sessions;
       true)
 
-(* The /sessions document is maintained incrementally (rows kept in VIN
-   order from session creation, only touched sessions re-formatted); after
-   every operation of a random ingest/pump/advance sequence — with
-   crashes, quarantines, restarts and idle evictions in play — it must be
-   byte-identical to a render from scratch. *)
-let status_property =
-  let gen =
-    QCheck.Gen.(
-      let* seed = int_range 1 10_000 in
-      let* shards = int_range 1 3 in
-      let* ops =
-        list_size (int_range 1 60)
-          (frequency
-             [ (6, map (fun v -> `Ingest v) (int_range 0 7));
-               (2, return `Pump);
-               (1, return `Advance) ])
-      in
-      return (seed, shards, ops))
-  in
-  let print (seed, shards, ops) =
-    Printf.sprintf "seed=%d shards=%d ops=%s" seed shards
-      (String.concat " "
-         (List.map
-            (function
-              | `Ingest v -> Printf.sprintf "i%d" v
-              | `Pump -> "p"
-              | `Advance -> "a")
-            ops))
-  in
-  QCheck.Test.make ~count:50
-    ~name:"incremental /sessions equals a from-scratch render"
-    (QCheck.make ~print gen)
-    (fun (seed, shards, ops) ->
-      let config =
-        { (Fleet.default_config ~specs) with
-          shards;
-          publish_status = true;
-          backoff_base = 0.02;
-          max_restarts = 1;
-          evict_idle_after = Some 0.15;
-          seed = Int64.of_int seed;
-          inject_fault =
-            Some (fun ~vin:v ~tick -> if (Hashtbl.hash v + tick) mod 23 = 0 then failwith "chaos crash") }
-      in
-      let fleet = Fleet.create config in
-      let g = Prng.create (Int64.of_int seed) in
-      let now = ref 0.0 in
-      let check what =
-        let live = Fleet.published_status fleet in
-        let scratch = Fleet.render_status_from_scratch fleet in
-        if live <> scratch then
-          QCheck.Test.fail_reportf "after %s:\nlive:    %s\nscratch: %s" what live scratch
-      in
-      List.iter
-        (fun op ->
-          now := !now +. 0.01;
-          match op with
-          | `Ingest v ->
-            ignore
-              (Fleet.ingest fleet
-                 { Fleet.vin = vin v; time = !now;
-                   updates =
-                     [ ("Speed", Value.Float (20.0 +. Prng.float g 15.0));
-                       ("Brake", Value.Bool (Prng.bool g)) ] })
-          | `Pump -> Fleet.pump fleet; check "pump"
-          | `Advance -> Fleet.advance fleet ~now:!now; check "advance")
-        ops;
-      ignore (Fleet.shutdown fleet);
-      check "shutdown";
-      true)
-
 let suite =
   [ ( "fleet",
       [ Alcotest.test_case "1000 sessions match isolated oracle" `Slow
@@ -618,5 +547,4 @@ let suite =
         Alcotest.test_case "idle session reaped" `Quick test_idle_session_reaped;
         Alcotest.test_case "shutdown idempotent" `Quick
           test_shutdown_idempotent_and_closes_intake;
-        QCheck_alcotest.to_alcotest chaos_property;
-        QCheck_alcotest.to_alcotest status_property ] ) ]
+        QCheck_alcotest.to_alcotest chaos_property ] ) ]

@@ -82,7 +82,10 @@ let test_dbc_errors () =
       ("BO_ 1 A: 1 E\n SG_ X : 0|8@3+ (1,0) [0|1] \"\" RX\n", "bad endian", true);
       ("BO_ 1 A: 1 E\nBO_ 1 B: 1 E\n", "duplicate id", false);
       ("BO_ 1 A: 8 E\n SG_ X : 0|65@1+ (1,0) [0|1] \"\" RX\n", "length 65", true);
-      ("BO_ 1 A: 8 E\n SG_ X : 0|8@1+ (0,0) [0|1] \"\" RX\n", "zero scale", true)
+      ("BO_ 1 A: 8 E\n SG_ X : 0|8@1+ (0,0) [0|1] \"\" RX\n", "zero scale", true);
+      ( "BO_ 1 A: 8 E\n SG_ X : 0|8@1+ (1,0) [0|1] \"\" RX\nSIG_VALTYPE_ 1 X : 1;\n",
+        "8-bit signal retyped to float32",
+        true )
     ]
 
 let test_dbc_print_reparse_behaviour () =
