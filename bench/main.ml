@@ -337,15 +337,15 @@ let interleaved_sessions n =
   lazy
     (let wrapped = List.map (fun s -> Mtl.Spec.stale_guarded s) Rules.all in
      let plan = Mtl.Plan.compile wrapped in
-     let program =
-       Mtl.Online.Fused.compile ~shared:(Mtl.Online.shared_for wrapped) plan
-     in
+     let shared = Mtl.Online.shared_for wrapped in
+     let program = Mtl.Online.Fused.compile ~shared plan in
+     let rprogram = Mtl.Robust.Online.Fused.compile ~shared plan in
      let snaps = Lazy.force long_snaps_60 in
      let len = Array.length snaps in
      let fresh () =
        let shared = Mtl.Online.shared_for wrapped in
        ( Mtl.Online.Fused.instantiate ~shared program,
-         Mtl.Robust.Online.Fused.create ~shared plan )
+         Mtl.Robust.Online.Fused.instantiate ~shared rprogram )
      in
      let mons = Array.init n (fun _ -> fresh ()) in
      let pos = Array.init n (fun i -> i * 7919 mod (len / 2)) in

@@ -48,6 +48,7 @@ type t = {
   total_fused_cost : int;
   overlaps : (int * int * [ `Duplicate | `Subsumed ]) list;
   session_bytes : int;
+  session_bytes_robust : int;
 }
 
 (* Unit cost of advancing one node by one tick: leaves pay for the
@@ -165,7 +166,10 @@ let analyze ?env:(lenv = Speclint.env ()) (specs : Spec.t list) =
     total_fused_cost = Array.fold_left (fun a c -> a + c) 0 cost;
     overlaps = Speclint.overlap_pairs specs;
     session_bytes =
-      Monitor_mtl.Online.Fused.(instance_bytes (compile plan) ~period:0.01) }
+      Monitor_mtl.Online.Fused.(instance_bytes (compile plan) ~period:0.01);
+    session_bytes_robust =
+      Monitor_mtl.Robust.Online.Fused.(
+        instance_bytes (compile plan) ~period:0.01) }
 
 let dead_nodes t =
   let out = ref [] in
@@ -235,7 +239,8 @@ let render t =
     (if t.total_tree_cost = 0 then 100.0
      else 100.0 *. float_of_int t.total_fused_cost
           /. float_of_int t.total_tree_cost);
-  add "state: %d bytes per stream at a 10 ms tick period\n" t.session_bytes;
+  add "state: %d bytes per stream at a 10 ms tick period (robust: %d)\n"
+    t.session_bytes t.session_bytes_robust;
   let dead = dead_nodes t in
   if dead <> [] then
     add "dead: %d node%s statically unreachable under declared ranges (%s)\n"
@@ -359,8 +364,9 @@ let to_json t =
     t.overlaps;
   add
     "],\"summary\":{\"nodes\":%d,\"shared\":%d,\"saved_per_tick\":%d,\
-     \"fused_cost\":%d,\"tree_cost\":%d,\"session_bytes\":%d}}"
+     \"fused_cost\":%d,\"tree_cost\":%d,\"session_bytes\":%d,\
+     \"session_bytes_robust\":%d}}"
     (Plan.node_count t.plan) (Plan.shared_count t.plan)
     (Plan.saved_count t.plan) t.total_fused_cost t.total_tree_cost
-    t.session_bytes;
+    t.session_bytes t.session_bytes_robust;
   Buffer.contents buf

@@ -59,6 +59,9 @@ type t = {
   session_bytes : int;
       (** one stream's incremental boolean monitor state at a 10 ms tick
           period ({!Monitor_mtl.Online.Fused.instance_bytes}) *)
+  session_bytes_robust : int;
+      (** the same for the robust monitor
+          ({!Monitor_mtl.Robust.Online.Fused.instance_bytes}) *)
 }
 
 val analyze : ?env:Speclint.env -> Monitor_mtl.Spec.t list -> t

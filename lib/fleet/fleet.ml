@@ -199,9 +199,10 @@ type t = {
          pumps, read by the status-endpoint domain *)
   wrapped : Spec.t array;  (* stale_guarded specs, session evaluation order *)
   wrapped_list : Spec.t list;
-  plan : Monitor_mtl.Plan.t;
   program : Online.Fused.program;
       (* compiled once, shared by every session's boolean monitor *)
+  rprogram : Monitor_mtl.Robust.Online.Fused.program option;
+      (* the same for the robust monitors; [robust_gauges] only *)
   names : string array;
   staleness : string -> float option;
   shards : shard array;
@@ -265,9 +266,14 @@ let create ?pool ?progress (cfg : config) =
     status = Atomic.make "{\"sessions\":[],\"shards\":[],\"totals\":{}}\n";
     wrapped;
     wrapped_list;
-    plan;
     program =
       Online.Fused.compile ~shared:(Online.shared_for wrapped_list) plan;
+    rprogram =
+      (if cfg.robust_gauges then
+         Some
+           (Monitor_mtl.Robust.Online.Fused.compile
+              ~shared:(Online.shared_for wrapped_list) plan)
+       else None);
     names = Array.map (fun (s : Spec.t) -> s.Spec.name) wrapped;
     staleness =
       Monitor_oracle.Oracle.stale_deadlines ~k:cfg.watchdog_k
@@ -329,9 +335,8 @@ let new_incarnation t =
   { feed = Feed.create ~staleness:t.staleness ~period:t.cfg.period ();
     fused = Online.Fused.instantiate ~shared t.program;
     rfused =
-      (if t.cfg.robust_gauges then
-         Some (Monitor_mtl.Robust.Online.Fused.create ~shared t.plan)
-       else None) }
+      Option.map (Monitor_mtl.Robust.Online.Fused.instantiate ~shared)
+        t.rprogram }
 
 let new_session t vin =
   { vin;

@@ -728,12 +728,11 @@ let size b =
    are shared and not counted) for a machine-free plan on a stream
    [period] seconds apart: every ring at the capacity [size] and growth
    settle it at.  An unbounded span counts its pre-size. *)
+let settled_ticks ~period span =
+  match span_ticks ~dt:period span with Some n -> n | None -> max_presize
+
 let instance_words_at (p : prog) ~period =
-  let settled span =
-    match span_ticks ~dt:period span with
-    | Some n -> n
-    | None -> max_presize
-  in
+  let settled = settled_ticks ~period in
   let slab = Array.fold_left (fun acc r -> acc + settled r) 0 p.rets in
   let times = settled p.tspan in
   let hist = max 1 p.nhist in
@@ -1427,12 +1426,12 @@ end
 
 (* [Robust.Online] runs robust nodes over the same substrate: the flat
    signal slots, the slot-compiled expression and immediate-formula
-   evaluators, and a boolean instance — clock, tick-time ring, machines,
-   and the warm-up masks as boolean plan nodes built and advanced exactly
-   as {!Fused} builds and advances them.  Re-exporting keeps exactly one
-   implementation of each piece.  [estate] is concrete (an all-float
-   record) so the robust kernel reads [acc]/[def] as unboxed field
-   loads. *)
+   evaluators, ring sizing, and a boolean program and instance — clock,
+   tick-time ring, machines, and the warm-up masks as boolean plan nodes
+   built and advanced exactly as {!Fused} builds and advances them.
+   Re-exporting keeps exactly one implementation of each piece.
+   [estate] is concrete (an all-float record) so the robust kernel reads
+   [acc]/[def] as unboxed field loads. *)
 module Internal = struct
   type nonrec signals = signals
 
@@ -1451,6 +1450,7 @@ module Internal = struct
   type nonrec vnode = vnode
   type node = mask
   type nonrec dag = dag
+  type cprog = prog
   type core = inst
 
   let env_est (e : env) = e.est
@@ -1461,22 +1461,24 @@ module Internal = struct
   let dag_create = dag_create
   let dag_add = dag_add
   let dag_mask = dag_mask
+  let dag_span d span = if span > d.d_tspan then d.d_tspan <- span
+  let core_compile = compile_core
+  let core_instantiate = instantiate
+  let core_words = instance_words_at
+  let presize = presize
 
-  let core_build ?shared plan build =
-    let p, extra = compile_core ?shared plan build in
-    (instantiate ?shared p, extra)
-
+  let settled_ticks = settled_ticks
+  let pow2_at_least = pow2_at_least
   let core_check = core_check
   let core_advance = core_advance
   let core_finalize = core_finalize
   let core_env (c : core) = c
   let core_ticks c = c.next_tick
+  let core_times c = c.times
+  let core_ensure_floor = ensure_floor
   let core_modes = core_modes
-  let out_len (e : env) n = e.ints.(n.m_s) - e.ints.(n.m_sb)
-  let out_base (e : env) n = e.ints.(n.m_sb)
-
-  let out_verdict (e : env) n i =
-    verdict_of_code (code_at e n.m_s (e.ints.(n.m_sb) + i))
-
-  let out_consume (e : env) n k = e.ints.(n.m_sb) <- e.ints.(n.m_sb) + k
+  let out_hi (e : env) n = e.ints.(n.m_s)
+  let out_cursor (e : env) n = e.ints.(n.m_sb)
+  let out_verdict (e : env) n t = verdict_of_code (code_at e n.m_s t)
+  let out_consume_to (e : env) n t = e.ints.(n.m_sb) <- t
 end

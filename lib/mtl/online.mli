@@ -174,12 +174,13 @@ end
 
     The robust incremental executor runs its own node kinds over the same
     per-tick substrate: flat signal slots, slot-compiled expressions and
-    immediate formulas, and a boolean core that owns the clock, the
-    signal refresh and the per-rule machines and runs the warm-up masks
-    as boolean plan nodes, built and advanced exactly as {!Fused} builds
-    and advances them.  This module re-exports that substrate so there is
-    exactly one implementation of each piece; it is not a stable API and
-    nothing outside [lib/mtl] should touch it. *)
+    immediate formulas, ring sizing, and a boolean program and instance
+    that own the clock, the tick-time ring, the signal refresh and the
+    per-rule machines and run the warm-up masks as boolean plan nodes,
+    built and advanced exactly as {!Fused} builds and advances them.
+    This module re-exports that substrate so there is exactly one
+    implementation of each piece; it is not a stable API and nothing
+    outside [lib/mtl] should touch it. *)
 module Internal : sig
   type signals
   (** The flat per-signal slot state behind {!shared}. *)
@@ -201,14 +202,17 @@ module Internal : sig
   type vnode
 
   type node
-  (** A boolean plan node of a core's program. *)
+  (** A warm-up mask: a boolean node with one reader. *)
 
   type dag
   (** Build-time table of boolean plan nodes. *)
 
+  type cprog
+  (** A compiled boolean program (what {!Fused.program} is). *)
+
   type core
-  (** A built boolean executor: nodes, clock, signal environment and
-      per-rule machines. *)
+  (** A boolean instance: nodes, clock, tick-time ring, signal
+      environment and per-rule machines. *)
 
   val env_est : env -> estate
   val compile_expr : signals -> int ref -> Expr.t -> enode
@@ -231,33 +235,62 @@ module Internal : sig
       [True] at [t] iff the trigger was [True] in [[t - hold, t]].  Its
       one reader may leave [ret] seconds of its verdicts unconsumed. *)
 
-  val core_build :
+  val dag_span : dag -> float -> unit
+  (** Make the tick-time ring keep at least this many seconds of ticks
+      (for nodes built outside the dag that read tick times). *)
+
+  val core_compile :
     ?shared:shared -> Plan.t ->
     (signals -> (int -> string array) -> int ref -> dag * 'a) ->
-    core * 'a
-  (** [core_build plan build]: [build sg names_of nhist] compiles the
+    cprog * 'a
+  (** [core_compile plan build]: [build sg names_of nhist] compiles the
       boolean nodes into a dag, [names_of owner] being the machine table
       a node of that owner resolves [in_mode] against; ['a] is whatever
-      else [build] compiled against the same signals and history.  The
-      dag is compiled into a program and instantiated. *)
+      else [build] compiled against the same signals and history. *)
+
+  val core_instantiate : ?shared:shared -> cprog -> core
+  (** As {!Fused.instantiate}. *)
+
+  val core_words : cprog -> period:float -> int
+  (** Words of a core's own state, as {!Fused.instance_bytes} / 8. *)
+
+  val presize : dt:float -> float -> int
+  (** Ring capacity, in ticks, a ring retaining that many seconds is
+      laid out at when ticks are [dt] apart. *)
+
+  val settled_ticks : period:float -> float -> int
+  (** The capacity such a ring settles at once grown. *)
+
+  val pow2_at_least : int -> int
 
   val core_check : who:string -> core -> Monitor_trace.Snapshot.t -> unit
   (** Validate the next snapshot; [who] prefixes the error messages. *)
 
   val core_advance : core -> Monitor_trace.Snapshot.t -> unit
-  (** Step the clock, the signal slots and the machines to a checked
-      snapshot and advance every boolean node once. *)
+  (** Step the clock, the tick-time ring, the signal slots and the
+      machines to a checked snapshot and advance every boolean node
+      once. *)
 
   val core_finalize : who:string -> core -> unit
   val core_env : core -> env
   val core_ticks : core -> int
+
+  val core_times : core -> float array
+  (** The tick-time ring: tick [k]'s time at [k land (length - 1)].
+      Replaced when it grows, so re-read it after {!core_ensure_floor}. *)
+
+  val core_ensure_floor : core -> int -> unit
+  (** Keep tick [floor] onward in the tick-time ring across the next
+      push. *)
+
   val core_modes : core -> int -> (string * string) list
 
-  val out_len : env -> node -> int
-  val out_base : env -> node -> int
+  val out_hi : env -> node -> int
+  val out_cursor : env -> node -> int
   val out_verdict : env -> node -> int -> Verdict.t
-  val out_consume : env -> node -> int -> unit
-  (** A node's output ring in the core [env]: [out_len] entries, entry
-      [i] being tick [out_base + i]; the node's one reader reads a prefix
-      and retires it with [out_consume]. *)
+  val out_consume_to : env -> node -> int -> unit
+  (** A mask's output ring in the core [env]: ticks [[out_cursor,
+      out_hi)] are resolved and retained; [out_verdict env n tick] reads
+      one of them and [out_consume_to env n tick] retires those below
+      [tick]. *)
 end

@@ -681,453 +681,463 @@ type bool_shared = Online.shared
 module OI = Online.Internal
 
 module Online = struct
-  (* Bounds ring: the robust counterpart of the boolean kernel's
-     verdict outbuf — per-node resolved (lo, hi, time) triples in tick
-     order, grown by doubling, reused forever after. *)
-  type rbuf = {
-    mutable bl : float array;
-    mutable bh : float array;
-    mutable bt : float array;
-    mutable bhead : int;
-    mutable blen : int;
-    mutable bbase : int;
+  (* Program and instance, as in the boolean executor (DESIGN.md §14): a
+     plan compiles once into an immutable program, and each stream runs
+     an instance of a few flat arrays over it:
+
+     - [ints]: per node its resolved count [hi] (ticks [0, hi) are
+       resolved) and its ring's place in the bound slabs (offset and
+       capacity mask, packed); per window its read cursor into the
+       child's ring, how many entries from there it has admitted, the
+       head and tail counters of its two wedges and their place in [wq];
+       one base per node with several readers and one cursor per rule
+       report;
+     - [lo]/[hi]: every node's ring of resolved bounds, a node's entry
+       for absolute tick [k] at [off + (k land mask)] of both slabs;
+     - [wq]: the windows' monotonic wedges, as child ticks (their low 32
+       bits: a wedge holds ticks of its child's retained entries);
+     - a boolean instance: the clock, the one tick-time ring, the signal
+       slots, the machines, and the warm-up triggers and masks.
+
+     Readers consume through cursors, as in the boolean executor: a
+     connective's cursor is its own [hi], a window's is the oldest child
+     entry inside its front pending tick's window, and a node with
+     several readers keeps its entries until the slowest has passed
+     them.  A window reads its child's ring in place and its wedges hold
+     child ticks, so no node copies another's output.
+
+     There is no early resolution (a window's robustness needs every
+     sample even once its sign is settled), so a node resolves tick [t]
+     exactly [Formula.horizon] after it, up to one tick of spacing.  A
+     ring therefore retains only what its reader waits for: a
+     connective's child the connective's horizon minus its own, a
+     window's child the window's reach back from its end, a report
+     nothing between steps. *)
+
+  let i_hi = 0
+  let i_lay = 1
+  let i_cursor = 2
+  let i_counted = 3
+  let i_lh = 4  (* lower-bound wedge: head, then tail (i_lh + 1) *)
+  let i_hh = 6  (* upper-bound wedge: head, then tail *)
+  let i_wlay = 8
+  let window_ints = 9
+  let lay_off lay = lay lsr 32
+  let lay_mask lay = lay land 0xFFFF_FFFF
+  let lay_make ~off ~mask = (off lsl 32) lor mask
+
+  type rwindow = {
+    ws : int;
+    wsb : int;  (* the slot holding the ring's lowest retained tick *)
+    universal : bool;
+    lo_off : float;  (* window of tick t is [t + lo_off, t + hi_off] *)
+    hi_off : float;
+    wc : int;  (* child node *)
   }
 
-  let rbuf_create () =
-    { bl = Array.make 16 0.0; bh = Array.make 16 0.0; bt = Array.make 16 0.0;
-      bhead = 0; blen = 0; bbase = 0 }
+  (* [op]: 0 and (min), 1 or (max), 2 implies (max of the negated left
+     and the right).  [sb] is the slot holding the node's lowest retained
+     tick: its one reader's cursor, or its own base when it is a hub. *)
+  type rnode =
+    | R_cmp of {
+        s : int;
+        sb : int;
+        op : Formula.comparison;
+        ea : OI.enode;
+        eb : OI.enode;
+      }
+    | R_atom of { s : int; sb : int; v : OI.vnode }
+    | R_not of { s : int; sb : int; c : int }
+    | R_bin of { s : int; sb : int; op : int; a : int; b : int }
+    | R_warmup of { s : int; sb : int; m : OI.node; c : int }
+        (* [m] is the boolean suppression window over the warm-up's
+           trigger: its verdict is [True] exactly on suppressed ticks. *)
+    | R_window of rwindow
 
-  let rbuf_grow b =
-    let cap = Array.length b.bl in
-    let nl = Array.make (cap * 2) 0.0 in
-    let nh = Array.make (cap * 2) 0.0 in
-    let nt = Array.make (cap * 2) 0.0 in
-    for i = 0 to b.blen - 1 do
-      let j = b.bhead + i in
-      let j = if j >= cap then j - cap else j in
-      nl.(i) <- b.bl.(j);
-      nh.(i) <- b.bh.(j);
-      nt.(i) <- b.bt.(j)
-    done;
-    b.bl <- nl;
-    b.bh <- nh;
-    b.bt <- nt;
-    b.bhead <- 0
-
-  let rbuf_reserve b =
-    if b.blen = Array.length b.bl then rbuf_grow b;
-    let j = b.bhead + b.blen in
-    let cap = Array.length b.bl in
-    let j = if j >= cap then j - cap else j in
-    b.blen <- b.blen + 1;
-    j
-
-  let rbuf_phys b i =
-    let j = b.bhead + i in
-    let cap = Array.length b.bl in
-    if j >= cap then j - cap else j
-
-  let rbuf_consume b k =
-    let h = b.bhead + k in
-    let cap = Array.length b.bl in
-    b.bhead <- (if h >= cap then h - cap else h);
-    b.blen <- b.blen - k;
-    b.bbase <- b.bbase + k
-
-  (* Times-only ring for pending ticks. *)
-  type pring = {
-    mutable pv : float array;
-    mutable phead : int;
-    mutable plen : int;
+  type prog = {
+    bprog : OI.cprog;        (* the boolean part: triggers and masks *)
+    exec : rnode array;      (* execution order, children first *)
+    hubs : int array array;  (* per hub: its base slot, then its cursors *)
+    slots : int array;       (* every node's first slot, ring order *)
+    bases : int array;       (* per ring: its [sb] *)
+    rets : float array;      (* per ring: seconds of ticks it retains *)
+    wins : int array;        (* every window's first slot, wedge order *)
+    wspans : float array;    (* per window: the seconds its wedges span *)
+    template : int array;    (* initial [ints]: one-entry rings *)
+    out_s : int array;       (* per rule: report node and cursor *)
+    out_c : int array;
   }
 
-  let pring_create () = { pv = Array.make 16 0.0; phead = 0; plen = 0 }
+  type inst = {
+    ints : int array;
+    mutable lo : float array;
+    mutable hi : float array;
+    mutable wq : Bytes.t;
+    core : OI.core;
+    env : OI.env;
+    est : OI.estate;
+    prog : prog;
+    mutable sized : bool;
+  }
 
-  let pring_grow p =
-    let cap = Array.length p.pv in
-    let nv = Array.make (cap * 2) 0.0 in
-    for i = 0 to p.plen - 1 do
-      let j = p.phead + i in
-      let j = if j >= cap then j - cap else j in
-      nv.(i) <- p.pv.(j)
-    done;
-    p.pv <- nv;
-    p.phead <- 0
+  (* Rings ---------------------------------------------------------------- *)
 
-  let pring_push p t =
-    if p.plen = Array.length p.pv then pring_grow p;
-    let j = p.phead + p.plen in
-    let cap = Array.length p.pv in
-    let j = if j >= cap then j - cap else j in
-    p.pv.(j) <- t;
-    p.plen <- p.plen + 1
+  (* Re-lay the bound slabs out with ring [k] (in [prog.slots] order) at
+     capacity [caps.(k)], copying every ring's retained entries. *)
+  let relayout r caps =
+    let ints = r.ints and p = r.prog in
+    let total = Array.fold_left ( + ) 0 caps in
+    let lo = Array.make total 0.0 and hi = Array.make total 0.0 in
+    let off = ref 0 in
+    Array.iteri
+      (fun k s ->
+        let lay = ints.(s + i_lay) in
+        let o = lay_off lay and m = lay_mask lay in
+        let no = !off and nm = caps.(k) - 1 in
+        for t = ints.(p.bases.(k)) to ints.(s + i_hi) - 1 do
+          lo.(no + (t land nm)) <- r.lo.(o + (t land m));
+          hi.(no + (t land nm)) <- r.hi.(o + (t land m))
+        done;
+        ints.(s + i_lay) <- lay_make ~off:no ~mask:nm;
+        off := no + caps.(k))
+      p.slots;
+    r.lo <- lo;
+    r.hi <- hi
 
-  let pring_pop p =
-    let h = p.phead + 1 in
-    let cap = Array.length p.pv in
-    p.phead <- (if h >= cap then h - cap else h);
-    p.plen <- p.plen - 1
+  (* The same for the wedges: window [k]'s two wedges side by side at
+     capacity [caps.(k)] each, four bytes an entry. *)
+  let wrelayout r caps =
+    let ints = r.ints in
+    let wq = Bytes.make (8 * Array.fold_left ( + ) 0 caps) '\000' in
+    let off = ref 0 in
+    Array.iteri
+      (fun k s ->
+        let lay = ints.(s + i_wlay) in
+        let o = lay_off lay and m = lay_mask lay in
+        let no = !off and nm = caps.(k) - 1 in
+        for side = 0 to 1 do
+          let h = s + i_lh + (2 * side) in
+          for q = ints.(h) to ints.(h + 1) - 1 do
+            Bytes.set_int32_ne wq
+              (4 * (no + (side * (nm + 1)) + (q land nm)))
+              (Bytes.get_int32_ne r.wq (4 * (o + (side * (m + 1)) + (q land m))))
+          done
+        done;
+        ints.(s + i_wlay) <- lay_make ~off:no ~mask:nm;
+        off := no + (2 * caps.(k)))
+      r.prog.wins;
+    r.wq <- wq
 
-  let pring_phys p i =
-    let j = p.phead + i in
-    let cap = Array.length p.pv in
-    if j >= cap then j - cap else j
+  let doubled ints field s slots =
+    Array.map
+      (fun s' ->
+        let cap = lay_mask ints.(s' + field) + 1 in
+        if s' = s then 2 * cap else cap)
+      slots
 
-  (* Monotonic wedge: a (time, value) deque whose values improve
-     strictly toward the back — the streaming form of the offline
-     index wedges.  Front = current in-window min (universal) or max
-     (existential).  Entries are in time order; domination (a later
+  (* Make room for tick [hi] in node [s]'s ring, whose lowest retained
+     tick is in slot [sb], and count it resolved; returns its index in
+     the slabs, where the caller writes both bounds. *)
+  let reserve r s sb =
+    let ints = r.ints in
+    let hi = Array.unsafe_get ints s in
+    if hi - Array.unsafe_get ints sb > lay_mask (Array.unsafe_get ints (s + i_lay))
+    then relayout r (doubled ints i_lay s r.prog.slots);
+    let lay = Array.unsafe_get ints (s + i_lay) in
+    Array.unsafe_set ints s (hi + 1);
+    lay_off lay + (hi land lay_mask lay)
+
+  (* Index of node [c]'s entry for tick [t] in the slabs. *)
+  let at r c t =
+    let lay = Array.unsafe_get r.ints (c + i_lay) in
+    lay_off lay + (t land lay_mask lay)
+
+  (* Byte offset in [wq] of entry [q] of window [s]'s wedge [side] (0
+     lower bounds, 1 upper bounds). *)
+  let wat r s side q =
+    let lay = Array.unsafe_get r.ints (s + i_wlay) in
+    let m = lay_mask lay in
+    4 * (lay_off lay + (side * (m + 1)) + (q land m))
+
+  (* The child tick in entry [q] of window [s]'s wedge [side]: entries
+     keep a tick's low 32 bits, and every entry is a tick the child [c]
+     resolved less than 2^32 ticks ago. *)
+  let wtick r s side c q =
+    let v = Int32.to_int (Bytes.get_int32_ne r.wq (wat r s side q)) in
+    let chi = Array.unsafe_get r.ints c in
+    chi - ((chi - v) land 0xFFFF_FFFF)
+
+  let wset r s side q k =
+    Bytes.set_int32_ne r.wq (wat r s side q) (Int32.of_int k)
+
+  (* At the second tick the stream's spacing is known: size every ring
+     and wedge for it. *)
+  let size r =
+    r.sized <- true;
+    let dt = r.est.OI.dt and p = r.prog and ints = r.ints in
+    relayout r
+      (Array.mapi
+         (fun k s ->
+           max (OI.presize ~dt p.rets.(k))
+             (OI.pow2_at_least (ints.(s + i_hi) - ints.(p.bases.(k)) + 1)))
+         p.slots);
+    wrelayout r
+      (Array.mapi
+         (fun k s ->
+           let held h = ints.(h + 1) - ints.(h) in
+           max (OI.presize ~dt p.wspans.(k))
+             (OI.pow2_at_least (1 + max (held (s + i_lh)) (held (s + i_hh)))))
+         p.wins)
+
+  (* Words of an instance's own blocks (the programs and the signal
+     slots are shared and not counted) for a machine-free plan on a
+     stream [period] seconds apart, every ring and wedge at the capacity
+     [size] and growth settle it at. *)
+  let instance_words (p : prog) ~period =
+    let settled = OI.settled_ticks ~period in
+    let sum spans = Array.fold_left (fun acc s -> acc + settled s) 0 spans in
+    let record = 1 + 9 in
+    OI.core_words p.bprog ~period
+    + record
+    + (1 + Array.length p.template)
+    + (2 * (1 + sum p.rets))
+    + (1 + (((8 * sum p.wspans) + 8) / 8))
+
+  (* Node advance --------------------------------------------------------- *)
+
+  (* Monotonic wedge: a deque of child ticks whose bounds improve
+     strictly toward the back — the streaming form of the offline index
+     wedges.  Front = current in-window min (universal) or max
+     (existential).  Entries are in tick order; domination (a later
      sample at least as good) discards an entry permanently, sound
-     because both window endpoints only ever advance. *)
-  type wedge = {
-    mutable qt : float array;
-    mutable qv : float array;
-    mutable qhead : int;
-    mutable qlen : int;
-  }
-
-  let wedge_create () =
-    { qt = Array.make 16 0.0; qv = Array.make 16 0.0; qhead = 0; qlen = 0 }
-
-  let wedge_phys w i =
-    let j = w.qhead + i in
-    let cap = Array.length w.qt in
-    if j >= cap then j - cap else j
-
-  let wedge_grow w =
-    let cap = Array.length w.qt in
-    let nt = Array.make (cap * 2) 0.0 in
-    let nv = Array.make (cap * 2) 0.0 in
-    for i = 0 to w.qlen - 1 do
-      let j = wedge_phys w i in
-      nt.(i) <- w.qt.(j);
-      nv.(i) <- w.qv.(j)
+     because both window endpoints only ever advance.  Push child tick
+     [k], whose bound is in slab [v], onto wedge [side] of window [s]. *)
+  let wedge_push r s side c universal v k =
+    let ints = r.ints in
+    let h = s + i_lh + (2 * side) in
+    let x = v.(at r c k) in
+    let popping = ref true in
+    while !popping && ints.(h + 1) > ints.(h) do
+      let y = v.(at r c (wtick r s side c (ints.(h + 1) - 1))) in
+      if if universal then y >= x else y <= x then ints.(h + 1) <- ints.(h + 1) - 1
+      else popping := false
     done;
-    w.qt <- nt;
-    w.qv <- nv;
-    w.qhead <- 0
+    if ints.(h + 1) - ints.(h) > lay_mask ints.(s + i_wlay) then
+      wrelayout r (doubled ints i_wlay s r.prog.wins);
+    wset r s side ints.(h + 1) k;
+    ints.(h + 1) <- ints.(h + 1) + 1
 
-  let wedge_push w ~universal t v =
-    (if universal then
-       while w.qlen > 0 && w.qv.(wedge_phys w (w.qlen - 1)) >= v do
-         w.qlen <- w.qlen - 1
-       done
-     else
-       while w.qlen > 0 && w.qv.(wedge_phys w (w.qlen - 1)) <= v do
-         w.qlen <- w.qlen - 1
-       done);
-    if w.qlen = Array.length w.qt then wedge_grow w;
-    let j = wedge_phys w w.qlen in
-    w.qt.(j) <- t;
-    w.qv.(j) <- v;
-    w.qlen <- w.qlen + 1
+  (* Resolve the window's pending ticks [hi, next_tick) front first.  The
+     child's entries from the cursor are the window: the first [counted]
+     of them lie inside the front pending tick's window and feed the
+     wedges.  A tick resolves exactly when its window closes — the same
+     closure and completeness predicates as the boolean kernel — so
+     past-time operators still resolve at their own tick. *)
+  let advance_window r finalizing w =
+    let ints = r.ints in
+    let s = w.ws and c = w.wc in
+    let cc = s + i_cursor and cn = s + i_counted in
+    let next = OI.core_ticks r.core in
+    let go = ref true in
+    while !go do
+      let p = ints.(s) in
+      if p >= next then go := false
+      else begin
+        let times = OI.core_times r.core in
+        let tm = Array.length times - 1 in
+        let p_time = times.(p land tm) in
+        let wlo = p_time +. w.lo_off -. time_eps in
+        let whi = p_time +. w.hi_off +. time_eps in
+        (* Slide past admitted samples the window start has passed, and
+           expire the wedge fronts among them (wedges are in tick order,
+           so only fronts can be stale). *)
+        while ints.(cn) > 0 && times.(ints.(cc) land tm) < wlo do
+          ints.(cc) <- ints.(cc) + 1;
+          ints.(cn) <- ints.(cn) - 1
+        done;
+        for side = 0 to 1 do
+          let h = s + i_lh + (2 * side) in
+          while ints.(h) < ints.(h + 1) && wtick r s side c ints.(h) < ints.(cc)
+          do
+            ints.(h) <- ints.(h) + 1
+          done
+        done;
+        (* Admit resolved samples the window end has reached.  A sample
+           already behind the window start is passed over: the endpoints
+           only advance, so no later window can contain it either. *)
+        let chi = ints.(c) in
+        let admitting = ref true in
+        while !admitting && ints.(cc) + ints.(cn) < chi do
+          let k = ints.(cc) + ints.(cn) in
+          let t = times.(k land tm) in
+          if t <= whi then begin
+            if t >= wlo then begin
+              wedge_push r s 0 c w.universal r.lo k;
+              wedge_push r s 1 c w.universal r.hi k;
+              ints.(cn) <- ints.(cn) + 1
+            end
+            else begin
+              assert (ints.(cn) = 0);
+              ints.(cc) <- ints.(cc) + 1
+            end
+          end
+          else admitting := false
+        done;
+        if
+          finalizing
+          || chi > 0
+             && times.((chi - 1) land tm) >= p_time +. w.hi_off -. time_eps
+        then begin
+          let est = r.est in
+          let complete =
+            est.OI.now >= p_time +. w.hi_off -. time_eps
+            && est.OI.first <= p_time +. w.lo_off +. time_eps
+          in
+          let sem = if w.universal then Window.Universal else Window.Existential in
+          let identity = if w.universal then Float.infinity else Float.neg_infinity in
+          let m_lo =
+            if ints.(s + i_lh) < ints.(s + i_lh + 1) then
+              r.lo.(at r c (wtick r s 0 c ints.(s + i_lh)))
+            else identity
+          in
+          let m_hi =
+            if ints.(s + i_hh) < ints.(s + i_hh + 1) then
+              r.hi.(at r c (wtick r s 1 c ints.(s + i_hh)))
+            else identity
+          in
+          let rl = Window.decide_robust_lo sem ~m_lo ~complete in
+          let rh = Window.decide_robust_hi sem ~m_hi ~complete in
+          let j = reserve r s w.wsb in
+          r.lo.(j) <- rl;
+          r.hi.(j) <- rh
+        end
+        else go := false
+      end
+    done;
+    (* Pending ticks, the window and the child's latest tick keep their
+       times across the next push. *)
+    let chi = ints.(c) in
+    let floor = if ints.(s) < ints.(cc) then ints.(s) else ints.(cc) in
+    OI.core_ensure_floor r.core
+      (if chi > 0 && chi - 1 < floor then chi - 1 else floor)
 
-  let wedge_drop_front w =
-    let h = w.qhead + 1 in
-    let cap = Array.length w.qt in
-    w.qhead <- (if h >= cap then h - cap else h);
-    w.qlen <- w.qlen - 1
-
-  (* All-float window state, kept in one record so per-tick writes stay
-     unboxed (the same discipline as the boolean kernel's tfloats). *)
-  type rtfloats = {
-    mutable r_child_max : float;
-    mutable r_first_in : float;
-    mutable r_last_in : float;
-    mutable r_wlo : float;
-    mutable r_whi : float;
-  }
-
-  type rnode = { rkind : rkind; rout : rbuf }
-
-  and rkind =
-    | R_leaf of rleaf
-    | R_not of rnode
-    | R_and of rnode * rnode
-    | R_or of rnode * rnode
-    | R_implies of rnode * rnode
-    | R_temporal of rtemporal
-    | R_warmup of { w_mask : OI.node; w_body : rnode }
-        (* [w_mask] is the boolean suppression window over the warm-up's
-           trigger, a plan node advanced as Online.Fused advances it: its
-           resolved verdict is [True] exactly on suppressed ticks. *)
-    | R_tap of rtap
-
-  and rleaf =
-    | RL_cmp of Formula.comparison * OI.enode * OI.enode
-    | RL_atom of OI.vnode
-
-  and rtemporal = {
-    r_universal : bool;
-    r_lo_off : float;
-    r_hi_off : float;
-    r_child : rnode;
-    future : rbuf;  (* resolved child samples not yet admitted *)
-    wl : wedge;     (* in-window lower bounds *)
-    wh : wedge;     (* in-window upper bounds *)
-    r_pend : pring; (* pending tick times *)
-    rtf : rtfloats;
-    mutable r_any_child : bool;
-    mutable r_saw_input : bool;
-  }
-
-  (* A non-destructive reader of a shared robust node, exactly the
-     boolean kernel's tap: it copies the hub's newly resolved entries
-     (absolute tick >= [r_copied]) into its own ring for one consumer. *)
-  and rtap = { r_src : rnode; mutable r_copied : int }
-
-  let rtemporal ~universal ~lo_off ~hi_off child =
-    { rkind =
-        R_temporal
-          { r_universal = universal; r_lo_off = lo_off; r_hi_off = hi_off;
-            r_child = child;
-            future = rbuf_create ();
-            wl = wedge_create ();
-            wh = wedge_create ();
-            r_pend = pring_create ();
-            rtf =
-              { r_child_max = Float.neg_infinity;
-                r_first_in = 0.0;
-                r_last_in = 0.0;
-                r_wlo = 0.0;
-                r_whi = 0.0 };
-            r_any_child = false;
-            r_saw_input = false };
-      rout = rbuf_create () }
-
-  (* Drains --------------------------------------------------------------- *)
-
-  let r_drain_not child out =
-    let c = child.rout in
-    let k = c.blen in
-    if k > 0 then begin
-      for i = 0 to k - 1 do
-        let src = rbuf_phys c i in
-        let nl = -.c.bh.(src) and nh = -.c.bl.(src) and t = c.bt.(src) in
-        let j = rbuf_reserve out in
-        out.bl.(j) <- nl;
-        out.bh.(j) <- nh;
-        out.bt.(j) <- t
-      done;
-      rbuf_consume c k
-    end
-
-  (* op2: 0 = and (min), 1 = or (max), 2 = implies (max of negated
-     left and right). *)
-  let r_drain_bin op2 left right out =
-    let a = left.rout and b = right.rout in
-    let k = if a.blen < b.blen then a.blen else b.blen in
-    if k > 0 then begin
-      assert (a.bbase = b.bbase);
-      for i = 0 to k - 1 do
-        let ai = rbuf_phys a i and bi = rbuf_phys b i in
-        let al = a.bl.(ai) and ah = a.bh.(ai) in
-        let blo = b.bl.(bi) and bhi = b.bh.(bi) in
-        let t = a.bt.(ai) in
-        let ol, oh =
-          if op2 = 0 then (fmin al blo, fmin ah bhi)
-          else if op2 = 1 then (fmax al blo, fmax ah bhi)
-          else (fmax (-.ah) blo, fmax (-.al) bhi)
-        in
-        let j = rbuf_reserve out in
-        out.bl.(j) <- ol;
-        out.bh.(j) <- oh;
-        out.bt.(j) <- t
-      done;
-      rbuf_consume a k;
-      rbuf_consume b k
-    end
-
-  let r_drain_warmup env w_mask body out =
-    let m_len = OI.out_len env w_mask in
-    let b = body.rout in
-    let k = if m_len < b.blen then m_len else b.blen in
-    if k > 0 then begin
-      assert (OI.out_base env w_mask = b.bbase);
-      for i = 0 to k - 1 do
+  (* One node's own per-tick work, children already advanced this tick.
+     A connective's children are read from its own [hi] on, so resolving
+     a tick is consuming it. *)
+  let advance_node r finalizing nd =
+    match nd with
+    | R_cmp { s; sb; op; ea; eb } ->
+      if not finalizing then begin
+        let est = r.est in
+        OI.eval_expr r.env ea;
+        let a = est.OI.acc and ad = est.OI.def in
+        OI.eval_expr r.env eb;
+        let b = est.OI.acc and bd = est.OI.def in
+        let j = reserve r s sb in
+        if ad <> 0.0 && bd <> 0.0 then begin
+          let m = margin op a b in
+          r.lo.(j) <- m;
+          r.hi.(j) <- m
+        end
+        else begin
+          r.lo.(j) <- Float.neg_infinity;
+          r.hi.(j) <- Float.infinity
+        end
+      end
+    | R_atom { s; sb; v } ->
+      if not finalizing then begin
+        let verdict = OI.eval_vnode r.env v in
+        let j = reserve r s sb in
+        r.lo.(j) <- Verdict.robust_lower verdict;
+        r.hi.(j) <- Verdict.robust_upper verdict
+      end
+    | R_not { s; sb; c } ->
+      let ints = r.ints in
+      for t = ints.(s) to ints.(c) - 1 do
+        let i = at r c t in
+        let nl = -.r.hi.(i) and nh = -.r.lo.(i) in
+        let j = reserve r s sb in
+        r.lo.(j) <- nl;
+        r.hi.(j) <- nh
+      done
+    | R_bin { s; sb; op; a; b } ->
+      let ints = r.ints in
+      let t1 = if ints.(a) < ints.(b) then ints.(a) else ints.(b) in
+      for t = ints.(s) to t1 - 1 do
+        let ai = at r a t and bi = at r b t in
+        let al = r.lo.(ai) and ah = r.hi.(ai) in
+        let bl = r.lo.(bi) and bh = r.hi.(bi) in
+        let j = reserve r s sb in
+        if op = 0 then begin
+          r.lo.(j) <- fmin al bl;
+          r.hi.(j) <- fmin ah bh
+        end
+        else if op = 1 then begin
+          r.lo.(j) <- fmax al bl;
+          r.hi.(j) <- fmax ah bh
+        end
+        else begin
+          r.lo.(j) <- fmax (-.ah) bl;
+          r.hi.(j) <- fmax (-.al) bh
+        end
+      done
+    | R_warmup { s; sb; m; c } ->
+      let ints = r.ints in
+      let mh = OI.out_hi r.env m in
+      let t1 = if mh < ints.(c) then mh else ints.(c) in
+      for t = ints.(s) to t1 - 1 do
         let suppressed =
-          match OI.out_verdict env w_mask i with
+          match OI.out_verdict r.env m t with
           | Verdict.True -> true
           | Verdict.False | Verdict.Unknown -> false
         in
-        let src = rbuf_phys b i in
-        let ol = if suppressed then Float.neg_infinity else b.bl.(src) in
-        let oh = if suppressed then Float.infinity else b.bh.(src) in
-        let t = b.bt.(src) in
-        let j = rbuf_reserve out in
-        out.bl.(j) <- ol;
-        out.bh.(j) <- oh;
-        out.bt.(j) <- t
+        let i = at r c t in
+        let l = r.lo.(i) and h = r.hi.(i) in
+        let j = reserve r s sb in
+        if suppressed then begin
+          r.lo.(j) <- Float.neg_infinity;
+          r.hi.(j) <- Float.infinity
+        end
+        else begin
+          r.lo.(j) <- l;
+          r.hi.(j) <- h
+        end
       done;
-      OI.out_consume env w_mask k;
-      rbuf_consume b k
-    end
+      OI.out_consume_to r.env m ints.(s)
+    | R_window w -> advance_window r finalizing w
 
-  let r_tap_drain tap out =
-    let s = tap.r_src.rout in
-    let start = tap.r_copied - s.bbase in
-    if start < s.blen then begin
-      for i = start to s.blen - 1 do
-        let src = rbuf_phys s i in
-        let l = s.bl.(src) and h = s.bh.(src) and t = s.bt.(src) in
-        let j = rbuf_reserve out in
-        out.bl.(j) <- l;
-        out.bh.(j) <- h;
-        out.bt.(j) <- t
+  (* A hub retains entries until its slowest reader has passed them. *)
+  let retire_hubs r =
+    let hubs = r.prog.hubs and ints = r.ints in
+    for h = 0 to Array.length hubs - 1 do
+      let hub = Array.unsafe_get hubs h in
+      let m = ref max_int in
+      for i = 1 to Array.length hub - 1 do
+        let c = ints.(hub.(i)) in
+        if c < !m then m := c
       done;
-      tap.r_copied <- s.bbase + s.blen
-    end
-
-  (* Window machinery ----------------------------------------------------- *)
-
-  let r_absorb_child tp =
-    let c = tp.r_child.rout in
-    let k = c.blen in
-    if k > 0 then begin
-      for i = 0 to k - 1 do
-        let src = rbuf_phys c i in
-        let l = c.bl.(src) and h = c.bh.(src) and t = c.bt.(src) in
-        let j = rbuf_reserve tp.future in
-        tp.future.bl.(j) <- l;
-        tp.future.bh.(j) <- h;
-        tp.future.bt.(j) <- t
-      done;
-      tp.rtf.r_child_max <- c.bt.(rbuf_phys c (k - 1));
-      tp.r_any_child <- true;
-      rbuf_consume c k
-    end
-
-  (* Expire wedge fronts the window start has passed.  Wedge entries
-     are in time order, so only fronts can be stale. *)
-  let r_drop_passed tp =
-    while tp.wl.qlen > 0 && tp.wl.qt.(tp.wl.qhead) < tp.rtf.r_wlo do
-      wedge_drop_front tp.wl
-    done;
-    while tp.wh.qlen > 0 && tp.wh.qt.(tp.wh.qhead) < tp.rtf.r_wlo do
-      wedge_drop_front tp.wh
+      ints.(hub.(0)) <- !m
     done
 
-  (* Admit resolved samples the window end has reached.  A sample
-     already behind the window start is discarded: the endpoints only
-     advance, so no later window can contain it either. *)
-  let rec r_admit_reached tp =
-    if tp.future.blen > 0 then begin
-      let j = rbuf_phys tp.future 0 in
-      let t = tp.future.bt.(j) in
-      if t <= tp.rtf.r_whi then begin
-        if t >= tp.rtf.r_wlo then begin
-          wedge_push tp.wl ~universal:tp.r_universal t tp.future.bl.(j);
-          wedge_push tp.wh ~universal:tp.r_universal t tp.future.bh.(j)
-        end;
-        rbuf_consume tp.future 1;
-        r_admit_reached tp
-      end
-    end
+  (* Boolean nodes first: they never read robust ones. *)
+  let advance r snapshot =
+    OI.core_advance r.core snapshot;
+    if (not r.sized) && OI.core_ticks r.core >= 2 then size r;
+    retire_hubs r;
+    let exec = r.prog.exec in
+    for i = 0 to Array.length exec - 1 do
+      advance_node r false (Array.unsafe_get exec i)
+    done
 
-  (* Unlike the boolean kernel there is no early resolution: a window's
-     robustness needs every sample even once its boolean verdict is
-     stable (one more sample can still lower the min).  A tick resolves
-     exactly when its window closes — the same closure and completeness
-     predicates as the boolean kernel — so past-time operators still
-     resolve at their own tick. *)
-  let rec r_try_resolve ~finalizing tp out =
-    if tp.r_pend.plen > 0 then begin
-      let p_time = tp.r_pend.pv.(tp.r_pend.phead) in
-      tp.rtf.r_wlo <- p_time +. tp.r_lo_off -. time_eps;
-      tp.rtf.r_whi <- p_time +. tp.r_hi_off +. time_eps;
-      r_drop_passed tp;
-      r_admit_reached tp;
-      let window_closed =
-        finalizing
-        || (tp.r_any_child
-           && tp.rtf.r_child_max >= p_time +. tp.r_hi_off -. time_eps)
-      in
-      if window_closed then begin
-        let complete =
-          tp.r_saw_input
-          && tp.rtf.r_last_in >= p_time +. tp.r_hi_off -. time_eps
-          && tp.rtf.r_first_in <= p_time +. tp.r_lo_off +. time_eps
-        in
-        let sem =
-          if tp.r_universal then Window.Universal else Window.Existential
-        in
-        let identity =
-          if tp.r_universal then Float.infinity else Float.neg_infinity
-        in
-        let m_lo = if tp.wl.qlen > 0 then tp.wl.qv.(tp.wl.qhead) else identity in
-        let m_hi = if tp.wh.qlen > 0 then tp.wh.qv.(tp.wh.qhead) else identity in
-        let rl = Window.decide_robust_lo sem ~m_lo ~complete in
-        let rh = Window.decide_robust_hi sem ~m_hi ~complete in
-        pring_pop tp.r_pend;
-        let j = rbuf_reserve out in
-        out.bl.(j) <- rl;
-        out.bh.(j) <- rh;
-        out.bt.(j) <- p_time;
-        r_try_resolve ~finalizing tp out
-      end
-    end
+  let finish ~who r =
+    OI.core_finalize ~who r.core;
+    retire_hubs r;
+    let exec = r.prog.exec in
+    for i = 0 to Array.length exec - 1 do
+      advance_node r true (Array.unsafe_get exec i)
+    done
 
-  (* Advancing ------------------------------------------------------------ *)
-
-  (* One node's own per-tick work, its children already advanced this
-     tick (the executor walks nodes in plan order). *)
-  let r_advance_self env node time =
-    match node.rkind with
-    | R_leaf (RL_cmp (op, ea, eb)) ->
-      let est = OI.env_est env in
-      OI.eval_expr env ea;
-      let a = est.OI.acc and ad = est.OI.def in
-      OI.eval_expr env eb;
-      let b = est.OI.acc and bd = est.OI.def in
-      let o = node.rout in
-      let j = rbuf_reserve o in
-      if ad <> 0.0 && bd <> 0.0 then begin
-        let m = margin op a b in
-        o.bl.(j) <- m;
-        o.bh.(j) <- m
-      end
-      else begin
-        o.bl.(j) <- Float.neg_infinity;
-        o.bh.(j) <- Float.infinity
-      end;
-      o.bt.(j) <- time
-    | R_leaf (RL_atom v) ->
-      let verdict = OI.eval_vnode env v in
-      let o = node.rout in
-      let j = rbuf_reserve o in
-      o.bl.(j) <- Verdict.robust_lower verdict;
-      o.bh.(j) <- Verdict.robust_upper verdict;
-      o.bt.(j) <- time
-    | R_not c -> r_drain_not c node.rout
-    | R_and (a, b) -> r_drain_bin 0 a b node.rout
-    | R_or (a, b) -> r_drain_bin 1 a b node.rout
-    | R_implies (a, b) -> r_drain_bin 2 a b node.rout
-    | R_temporal tp ->
-      if not tp.r_saw_input then begin
-        tp.rtf.r_first_in <- time;
-        tp.r_saw_input <- true
-      end;
-      tp.rtf.r_last_in <- time;
-      pring_push tp.r_pend time;
-      r_absorb_child tp;
-      r_try_resolve ~finalizing:false tp node.rout
-    | R_warmup { w_mask; w_body } -> r_drain_warmup env w_mask w_body node.rout
-    | R_tap tap -> r_tap_drain tap node.rout
-
-  let r_finalize_self env node =
-    match node.rkind with
-    | R_leaf _ -> ()
-    | R_not c -> r_drain_not c node.rout
-    | R_and (a, b) -> r_drain_bin 0 a b node.rout
-    | R_or (a, b) -> r_drain_bin 1 a b node.rout
-    | R_implies (a, b) -> r_drain_bin 2 a b node.rout
-    | R_temporal tp ->
-      r_absorb_child tp;
-      r_try_resolve ~finalizing:true tp node.rout
-    | R_warmup { w_mask; w_body } -> r_drain_warmup env w_mask w_body node.rout
-    | R_tap tap -> r_tap_drain tap node.rout
-
-  (* Plan executor -------------------------------------------------------- *)
+  (* Program ------------------------------------------------------------- *)
 
   (* Which plan nodes run robust and which boolean, with each node's
      consuming-edge count per domain: the robust domain is what the
@@ -1155,60 +1165,74 @@ module Online = struct
     done;
     (r_uses, b_uses)
 
-  (* The robust nodes ride on a boolean core: it owns the clock, the
-     signal slots and the machines, and runs the warm-up triggers and
-     their masks; it reports nothing itself. *)
-  type core = {
-    bcore : OI.core;
-    env : OI.env;
-    rexec : rnode array;    (* robust nodes and taps, execution order *)
-    rhubs : rbuf array;     (* shared robust rings, retired once per tick *)
-    outs : rnode array;     (* per rule: its root, or a private tap of it *)
+  (* A robust node at slots [s] with its horizon and every reader's
+     cursor; its base slot is settled once its readers are known. *)
+  type built = {
+    bs : int;
+    mutable sb : int;
+    ret : float ref;
+    lag : float;
+    mutable cursors : int list;
   }
 
-  let core_create ?shared (plan : Plan.t) =
+  let compile ?shared (plan : Plan.t) =
     let r_uses, b_uses = domains plan in
-    let bcore, (rexec, rhubs, outs) =
-      OI.core_build ?shared plan (fun sg names_of nhist ->
+    let nints = ref 0 in
+    let alloc k =
+      let s = !nints in
+      nints := s + k;
+      s
+    in
+    let bprog, (exec, wins, outs) =
+      OI.core_compile ?shared plan (fun sg names_of nhist ->
           let bdag = OI.dag_create plan in
           let built = Array.make (Array.length plan.Plan.nodes) None in
-          let exec = ref [] and hubs = ref [] in
-          let push n = exec := n :: !exec in
-          let node kind = { rkind = kind; rout = rbuf_create () } in
-          let edge id =
-            let n = match built.(id) with Some n -> n | None -> assert false in
-            if r_uses.(id) > 1 then begin
-              let tap = node (R_tap { r_src = n; r_copied = 0 }) in
-              push tap;
-              tap
-            end
-            else n
+          let exec = ref [] and wins = ref [] in
+          let get id = match built.(id) with Some n -> n | None -> assert false in
+          (* One consuming edge, reading through [cursor], into a built
+             node whose reader may leave [ret] seconds of it unconsumed. *)
+          let edge id ~cursor ~ret =
+            let n = get id in
+            if ret > !(n.ret) then n.ret := ret;
+            n.cursors <- cursor :: n.cursors;
+            n.bs
           in
           Array.iteri
             (fun id (pnode : Plan.node) ->
               let names = names_of pnode.Plan.owner in
               if b_uses.(id) > 0 then OI.dag_add bdag sg names nhist id pnode;
               if r_uses.(id) > 0 then begin
-                let n =
+                let lag = Formula.horizon pnode.Plan.form in
+                (* A connective holds a child's entries until its slowest
+                   child catches up. *)
+                let input c ~cursor =
+                  edge c ~cursor ~ret:(lag -. (get c).lag)
+                in
+                let bin op a b =
+                  let s = alloc 2 in
+                  let a = input a ~cursor:s in
+                  let b = input b ~cursor:s in
+                  (s, fun sb -> R_bin { s; sb; op; a; b })
+                in
+                let s, mk =
                   match pnode.Plan.shape with
                   | Plan.Atom -> (
+                    let s = alloc 2 in
                     match pnode.Plan.form with
                     | Formula.Cmp (a, op, b) ->
                       let ea = OI.compile_expr sg nhist a in
                       let eb = OI.compile_expr sg nhist b in
-                      node (R_leaf (RL_cmp (op, ea, eb)))
+                      (s, fun sb -> R_cmp { s; sb; op; ea; eb })
                     | f ->
-                      node (R_leaf (RL_atom (OI.compile_vnode sg names nhist f))))
-                  | Plan.Not c -> node (R_not (edge c))
-                  | Plan.And (a, b) ->
-                    let l = edge a in
-                    node (R_and (l, edge b))
-                  | Plan.Or (a, b) ->
-                    let l = edge a in
-                    node (R_or (l, edge b))
-                  | Plan.Implies (a, b) ->
-                    let l = edge a in
-                    node (R_implies (l, edge b))
+                      let v = OI.compile_vnode sg names nhist f in
+                      (s, fun sb -> R_atom { s; sb; v }))
+                  | Plan.Not c ->
+                    let s = alloc 2 in
+                    let c = input c ~cursor:s in
+                    (s, fun sb -> R_not { s; sb; c })
+                  | Plan.And (a, b) -> bin 0 a b
+                  | Plan.Or (a, b) -> bin 1 a b
+                  | Plan.Implies (a, b) -> bin 2 a b
                   | Plan.Window { op; lo; hi; child } ->
                     let lo_off, hi_off, sem = Plan.window_offsets op ~lo ~hi in
                     let universal =
@@ -1216,97 +1240,132 @@ module Online = struct
                       | Window.Universal -> true
                       | Window.Existential | Window.Mask -> false
                     in
-                    rtemporal ~universal ~lo_off ~hi_off (edge child)
-                  | Plan.Warmup { trigger; hold; body } ->
-                    let w_mask =
-                      OI.dag_mask bdag ~trigger ~hold
-                        ~ret:(Formula.horizon pnode.Plan.form)
+                    let s = alloc window_ints in
+                    (* The child's entries from the front pending tick's
+                       window start up to its latest resolved tick. *)
+                    let c =
+                      edge child ~cursor:(s + i_cursor)
+                        ~ret:(Float.max 0.0 hi_off -. lo_off)
                     in
-                    node (R_warmup { w_mask; w_body = edge body })
+                    OI.dag_span bdag (lag +. Float.max 0.0 (-.lo_off));
+                    wins := (s, hi_off -. lo_off) :: !wins;
+                    ( s,
+                      fun sb ->
+                        R_window
+                          { ws = s; wsb = sb; universal; lo_off; hi_off; wc = c }
+                    )
+                  | Plan.Warmup { trigger; hold; body } ->
+                    let m = OI.dag_mask bdag ~trigger ~hold ~ret:lag in
+                    let s = alloc 2 in
+                    let c = input body ~cursor:s in
+                    (s, fun sb -> R_warmup { s; sb; m; c })
                 in
-                push n;
-                if r_uses.(id) > 1 then hubs := n.rout :: !hubs;
+                let n = { bs = s; sb = -1; ret = ref 0.0; lag; cursors = [] } in
+                exec := (n, mk) :: !exec;
                 built.(id) <- Some n
               end)
             plan.Plan.nodes;
-          let outs = Array.map edge plan.Plan.roots in
-          ( bdag,
-            ( Array.of_list (List.rev !exec),
-              Array.of_list (List.rev !hubs),
-              outs ) ))
+          (* The report edges, each through a cursor of its own; a
+             report consumes everything resolved at every step. *)
+          let outs =
+            Array.map
+              (fun id ->
+                OI.dag_span bdag (get id).lag;
+                let cursor = alloc 1 in
+                (edge id ~cursor ~ret:0.0, cursor))
+              plan.Plan.roots
+          in
+          (bdag, (List.rev !exec, List.rev !wins, outs)))
     in
-    { bcore; env = OI.core_env bcore; rexec; rhubs; outs }
+    let exec = Array.of_list exec in
+    (* A node with one reader retains from that reader's cursor; a hub
+       from its own base, the minimum over its readers' cursors. *)
+    Array.iter
+      (fun (n, _) ->
+        match n.cursors with [ c ] -> n.sb <- c | _ -> n.sb <- alloc 1)
+      exec;
+    let rings = Array.map fst exec in
+    let wins = Array.of_list wins in
+    let template = Array.make !nints 0 in
+    Array.iteri
+      (fun k n -> template.(n.bs + i_lay) <- lay_make ~off:k ~mask:0)
+      rings;
+    Array.iteri
+      (fun k (s, _) -> template.(s + i_wlay) <- lay_make ~off:(2 * k) ~mask:0)
+      wins;
+    let hubs =
+      List.filter_map
+        (fun n ->
+          match n.cursors with
+          | [ c ] when c = n.sb -> None
+          | cursors -> Some (Array.of_list (n.sb :: List.rev cursors)))
+        (Array.to_list rings)
+    in
+    { bprog;
+      exec = Array.map (fun (n, mk) -> mk n.sb) exec;
+      hubs = Array.of_list hubs;
+      slots = Array.map (fun n -> n.bs) rings;
+      bases = Array.map (fun n -> n.sb) rings;
+      rets = Array.map (fun n -> !(n.ret)) rings;
+      wins = Array.map fst wins;
+      wspans = Array.map snd wins;
+      template;
+      out_s = Array.map fst outs;
+      out_c = Array.map snd outs }
 
-  let retire_hubs hubs =
-    for i = 0 to Array.length hubs - 1 do
-      let h = Array.unsafe_get hubs i in
-      rbuf_consume h h.blen
-    done
-
-  (* Boolean nodes first: they never read robust ones. *)
-  let advance_nodes bcore env nodes rhubs snapshot =
-    OI.core_advance bcore snapshot;
-    let time = snapshot.Snapshot.time in
-    for i = 0 to Array.length nodes - 1 do
-      r_advance_self env (Array.unsafe_get nodes i) time
-    done;
-    retire_hubs rhubs
-
-  let core_advance c snapshot =
-    advance_nodes c.bcore c.env c.rexec c.rhubs snapshot
-
-  let core_finalize ~who c =
-    OI.core_finalize ~who c.bcore;
-    let nodes = c.rexec in
-    for i = 0 to Array.length nodes - 1 do
-      r_finalize_self c.env (Array.unsafe_get nodes i)
-    done;
-    retire_hubs c.rhubs
+  let instantiate ?shared (p : prog) =
+    let core = OI.core_instantiate ?shared p.bprog in
+    let env = OI.core_env core in
+    { ints = Array.copy p.template;
+      lo = Array.make (Array.length p.slots) 0.0;
+      hi = Array.make (Array.length p.slots) 0.0;
+      wq = Bytes.make (8 * Array.length p.wins) '\000';
+      core;
+      env;
+      est = OI.env_est env;
+      prog = p;
+      sized = false }
 
   (* Single-rule monitor -------------------------------------------------- *)
 
-  (* The core's per-step fields are copied in so a step touches one
-     record, not two. *)
+  (* A one-root plan with a batch interface: the root's ring from the
+     report cursor holds the current batch, retired by the next step. *)
   type t = {
-    bcore : OI.core;
-    env : OI.env;
-    rexec : rnode array;
-    rhubs : rbuf array;
-    root : rbuf;
-    proot : pring;  (* times of ticks not yet resolved at the root *)
-    mutable reported : int;
-    core : core;
+    r : inst;
+    root : int;
+    cursor : int;
+    mutable reported : int;  (* entries from the cursor already handed out *)
   }
 
   type resolution = { tick : int; time : float; bounds : bounds }
 
   let create ?shared (spec : Spec.t) =
-    let core = core_create ?shared (Plan.compile [ spec ]) in
-    { bcore = core.bcore; env = core.env; rexec = core.rexec;
-      rhubs = core.rhubs; root = core.outs.(0).rout; proot = pring_create ();
-      reported = 0; core }
+    let p = compile ?shared (Plan.compile [ spec ]) in
+    { r = instantiate ?shared p; root = p.out_s.(0); cursor = p.out_c.(0);
+      reported = 0 }
 
+  (* The batch stays readable until the next call: keep its times. *)
   let settle t =
-    let n = t.root.blen in
-    for _ = 1 to n do
-      pring_pop t.proot
-    done;
-    t.reported <- n;
-    n
+    let ints = t.r.ints in
+    t.reported <- ints.(t.root) - ints.(t.cursor);
+    OI.core_ensure_floor t.r.core ints.(t.cursor);
+    t.reported
 
   let step_resolved t snapshot =
-    OI.core_check ~who:"Robust.Online.step" t.bcore snapshot;
-    rbuf_consume t.root t.reported;
+    OI.core_check ~who:"Robust.Online.step" t.r.core snapshot;
+    (* Retire the batch handed out by the previous call. *)
+    let ints = t.r.ints in
+    ints.(t.cursor) <- ints.(t.cursor) + t.reported;
     t.reported <- 0;
-    pring_push t.proot snapshot.Snapshot.time;
-    advance_nodes t.bcore t.env t.rexec t.rhubs snapshot;
+    advance t.r snapshot;
     Obs.incr m_ticks_online_robust;
     settle t
 
   let finalize_resolved t =
-    core_finalize ~who:"Robust.Online.finalize" t.core;
+    finish ~who:"Robust.Online.finalize" t.r;
     (* Retire the last step's batch; what remains is the final one. *)
-    rbuf_consume t.root t.reported;
+    let ints = t.r.ints in
+    ints.(t.cursor) <- ints.(t.cursor) + t.reported;
     settle t
 
   let check_resolved_index t i =
@@ -1315,27 +1374,25 @@ module Online = struct
 
   let resolved_tick t i =
     check_resolved_index t i;
-    t.root.bbase + i
+    t.r.ints.(t.cursor) + i
 
   let resolved_time t i =
     check_resolved_index t i;
-    t.root.bt.(rbuf_phys t.root i)
+    let times = OI.core_times t.r.core in
+    times.((t.r.ints.(t.cursor) + i) land (Array.length times - 1))
 
   let resolved_lo t i =
     check_resolved_index t i;
-    t.root.bl.(rbuf_phys t.root i)
+    t.r.lo.(at t.r t.root (t.r.ints.(t.cursor) + i))
 
   let resolved_hi t i =
     check_resolved_index t i;
-    t.root.bh.(rbuf_phys t.root i)
+    t.r.hi.(at t.r t.root (t.r.ints.(t.cursor) + i))
 
   let resolved_get t i =
-    check_resolved_index t i;
-    let o = t.root in
-    let j = rbuf_phys o i in
-    { tick = o.bbase + i;
-      time = o.bt.(j);
-      bounds = { lo = o.bl.(j); hi = o.bh.(j) } }
+    { tick = resolved_tick t i;
+      time = resolved_time t i;
+      bounds = { lo = resolved_lo t i; hi = resolved_hi t i } }
 
   let batch_list t n =
     let rec collect i acc =
@@ -1354,125 +1411,132 @@ module Online = struct
         (resolved_hi t i)
     done
 
-  let pending t = t.proot.plen + (t.root.blen - t.reported)
+  let pending t = OI.core_ticks t.r.core - t.r.ints.(t.cursor) - t.reported
+
+  let node_at (p : prog) s =
+    let first = function
+      | R_cmp { s; _ } | R_atom { s; _ } | R_not { s; _ } | R_bin { s; _ }
+      | R_warmup { s; _ } -> s
+      | R_window w -> w.ws
+    in
+    match Array.find_opt (fun nd -> first nd = s) p.exec with
+    | Some nd -> nd
+    | None -> assert false
 
   (* Sound bracketing interval for one unresolved tick: what is already
      known from resolved subresults, widened where the future can still
      move the value.  Cold path — recursive walk, allocates freely. *)
-  let rec node_bounds env nd (tick : int) (time : float) : float * float =
-    let o = nd.rout in
-    if tick >= o.bbase && tick < o.bbase + o.blen then begin
-      let j = rbuf_phys o (tick - o.bbase) in
-      (o.bl.(j), o.bh.(j))
+  let rec node_bounds r s (tick : int) (time : float) : float * float =
+    let ints = r.ints in
+    let nd = node_at r.prog s in
+    let sb =
+      match nd with
+      | R_cmp { sb; _ } | R_atom { sb; _ } | R_not { sb; _ } | R_bin { sb; _ }
+      | R_warmup { sb; _ } -> sb
+      | R_window w -> w.wsb
+    in
+    if tick >= ints.(sb) && tick < ints.(s) then begin
+      let j = at r s tick in
+      (r.lo.(j), r.hi.(j))
     end
-    else if tick < o.bbase then (Float.neg_infinity, Float.infinity)
+    else if tick < ints.(sb) then (Float.neg_infinity, Float.infinity)
     else
-      match nd.rkind with
-      | R_leaf _ -> (Float.neg_infinity, Float.infinity)
-      | R_tap tap -> node_bounds env tap.r_src tick time
-      | R_not c ->
-        let l, h = node_bounds env c tick time in
+      match nd with
+      | R_cmp _ | R_atom _ -> (Float.neg_infinity, Float.infinity)
+      | R_not { c; _ } ->
+        let l, h = node_bounds r c tick time in
         (-.h, -.l)
-      | R_and (a, b) ->
-        let la, ha = node_bounds env a tick time in
-        let lb, hb = node_bounds env b tick time in
-        (fmin la lb, fmin ha hb)
-      | R_or (a, b) ->
-        let la, ha = node_bounds env a tick time in
-        let lb, hb = node_bounds env b tick time in
-        (fmax la lb, fmax ha hb)
-      | R_implies (a, b) ->
-        let la, ha = node_bounds env a tick time in
-        let lb, hb = node_bounds env b tick time in
-        (fmax (-.ha) lb, fmax (-.la) hb)
-      | R_warmup { w_mask; w_body } ->
-        let mb = OI.out_base env w_mask and ml = OI.out_len env w_mask in
-        if tick >= mb && tick < mb + ml then begin
-          match OI.out_verdict env w_mask (tick - mb) with
+      | R_bin { op; a; b; _ } ->
+        let la, ha = node_bounds r a tick time in
+        let lb, hb = node_bounds r b tick time in
+        if op = 0 then (fmin la lb, fmin ha hb)
+        else if op = 1 then (fmax la lb, fmax ha hb)
+        else (fmax (-.ha) lb, fmax (-.la) hb)
+      | R_warmup { m; c; _ } ->
+        if tick >= OI.out_cursor r.env m && tick < OI.out_hi r.env m then begin
+          match OI.out_verdict r.env m tick with
           | Verdict.True -> (Float.neg_infinity, Float.infinity)
-          | Verdict.False | Verdict.Unknown -> node_bounds env w_body tick time
+          | Verdict.False | Verdict.Unknown -> node_bounds r c tick time
         end
         else (Float.neg_infinity, Float.infinity)
-      | R_temporal tp ->
+      | R_window w ->
         (* Already-resolved in-window samples bound the aggregate from
            one side; unresolved future samples can only push it
            further, and completeness may widen the other side — so
-           only that one side is reported. *)
-        let wlo = time +. tp.r_lo_off -. time_eps in
-        let whi = time +. tp.r_hi_off +. time_eps in
-        if tp.r_universal then begin
-          let m = ref Float.infinity in
-          for i = 0 to tp.wh.qlen - 1 do
-            let j = wedge_phys tp.wh i in
-            let st = tp.wh.qt.(j) in
-            if st >= wlo && st <= whi then m := fmin !m tp.wh.qv.(j)
-          done;
-          for i = 0 to tp.future.blen - 1 do
-            let j = rbuf_phys tp.future i in
-            let st = tp.future.bt.(j) in
-            if st >= wlo && st <= whi then m := fmin !m tp.future.bh.(j)
-          done;
-          (Float.neg_infinity, !m)
-        end
-        else begin
-          let m = ref Float.neg_infinity in
-          for i = 0 to tp.wl.qlen - 1 do
-            let j = wedge_phys tp.wl i in
-            let st = tp.wl.qt.(j) in
-            if st >= wlo && st <= whi then m := fmax !m tp.wl.qv.(j)
-          done;
-          for i = 0 to tp.future.blen - 1 do
-            let j = rbuf_phys tp.future i in
-            let st = tp.future.bt.(j) in
-            if st >= wlo && st <= whi then m := fmax !m tp.future.bl.(j)
-          done;
-          (!m, Float.infinity)
-        end
+           only that one side is reported.  The samples are the wedge
+           on that side and the child entries not yet admitted. *)
+        let wlo = time +. w.lo_off -. time_eps in
+        let whi = time +. w.hi_off +. time_eps in
+        let times = OI.core_times r.core in
+        let tm = Array.length times - 1 in
+        let side = if w.universal then 1 else 0 in
+        let v = if w.universal then r.hi else r.lo in
+        let m =
+          ref (if w.universal then Float.infinity else Float.neg_infinity)
+        in
+        let take k =
+          let st = times.(k land tm) in
+          if st >= wlo && st <= whi then
+            m := if w.universal then fmin !m v.(at r w.wc k)
+                 else fmax !m v.(at r w.wc k)
+        in
+        let h = w.ws + i_lh + (2 * side) in
+        for q = ints.(h) to ints.(h + 1) - 1 do
+          take (wtick r w.ws side w.wc q)
+        done;
+        for k = ints.(w.ws + i_cursor) + ints.(w.ws + i_counted) to ints.(w.wc) - 1 do
+          take k
+        done;
+        if w.universal then (Float.neg_infinity, !m) else (!m, Float.infinity)
 
   let pending_bounds t =
-    let first = OI.core_ticks t.bcore - t.proot.plen in
+    let r = t.r in
+    let times = OI.core_times r.core in
     let out = ref [] in
-    for i = t.proot.plen - 1 downto 0 do
-      let time = t.proot.pv.(pring_phys t.proot i) in
-      let l, h = node_bounds t.env t.core.outs.(0) (first + i) time in
-      out :=
-        { tick = first + i; time; bounds = { lo = l; hi = h } } :: !out
+    for k = OI.core_ticks r.core - 1 downto r.ints.(t.root) do
+      let time = times.(k land (Array.length times - 1)) in
+      let l, h = node_bounds r t.root k time in
+      out := { tick = k; time; bounds = { lo = l; hi = h } } :: !out
     done;
     !out
 
-  let modes t = OI.core_modes t.bcore 0
+  let modes t = OI.core_modes t.r.core 0
 
   (* Whole-plan monitor --------------------------------------------------- *)
 
   module Fused = struct
-    type t = core
+    type program = prog
+    type t = inst
 
-    let create = core_create
+    let compile = compile
+    let instantiate = instantiate
+    let create ?shared plan = instantiate ?shared (compile ?shared plan)
+    let instance_bytes p ~period = 8 * instance_words p ~period
+    let rule_count t = Array.length t.prog.out_s
 
-    let rule_count t = Array.length t.outs
-
-    (* Drain every rule's report ring through [f], then retire it. *)
+    (* Report every rule's new entries through [f] and move its cursor
+       past them. *)
     let report t f =
-      for r = 0 to Array.length t.outs - 1 do
-        let o = (Array.unsafe_get t.outs r).rout in
-        let k = o.blen in
-        if k > 0 then begin
-          for i = 0 to k - 1 do
-            let j = rbuf_phys o i in
-            f r (o.bbase + i) o.bt.(j) o.bl.(j) o.bh.(j)
-          done;
-          rbuf_consume o k
-        end
+      let p = t.prog and ints = t.ints in
+      for r = 0 to Array.length p.out_s - 1 do
+        let s = p.out_s.(r) and c = p.out_c.(r) in
+        let hi = ints.(s) in
+        for k = ints.(c) to hi - 1 do
+          let times = OI.core_times t.core in
+          let j = at t s k in
+          f r k times.(k land (Array.length times - 1)) t.lo.(j) t.hi.(j)
+        done;
+        ints.(c) <- hi
       done
 
-    let step_iter (t : t) snapshot f =
-      OI.core_check ~who:"Robust.Online.step" t.bcore snapshot;
-      core_advance t snapshot;
-      Obs.add m_ticks_online_robust (Array.length t.outs);
+    let step_iter t snapshot f =
+      OI.core_check ~who:"Robust.Online.step" t.core snapshot;
+      advance t snapshot;
+      Obs.add m_ticks_online_robust (Array.length t.prog.out_s);
       report t f
 
     let finalize_iter t f =
-      core_finalize ~who:"Robust.Online.finalize" t;
+      finish ~who:"Robust.Online.finalize" t;
       report t f
   end
 end

@@ -140,11 +140,12 @@ type bool_shared = Online.shared
 module Online : sig
   (** The incremental robust kernel: a one-root plan executor on the
       same flat-state substrate as the boolean {!Online} (shared signal
-      slots, slot-compiled expressions, ring-buffered operator state;
-      memory bounded by window sizes, never trace length), producing
-      per-tick robustness {!bounds} instead of verdicts.  Warm-up
-      triggers run as boolean plan nodes, advanced exactly as
-      {!Online.Fused} advances them.
+      slots, slot-compiled expressions, one tick-time ring, every node's
+      bounds in one pair of float slabs read through cursors; memory
+      bounded by window sizes, never trace length), producing per-tick
+      robustness {!bounds} instead of verdicts.  Warm-up triggers run
+      as boolean plan nodes, advanced exactly as {!Online.Fused}
+      advances them.
 
       Resolved intervals are exactly {!eval_columns}'s.  Before a tick
       resolves, {!pending_bounds} reports a sound interval for it —
@@ -211,14 +212,39 @@ module Online : sig
 
   (** One incremental robust monitor over a whole-spec {!Plan}, the
       robust counterpart of {!Online.Fused}: subterms shared across
-      rules advance once per tick, shared nodes are read through taps,
-      and every rule's resolved intervals — values and resolution timing
+      rules advance once per tick, each reader of a shared node reads
+      its ring through a cursor of its own, and every rule's resolved intervals — values and resolution timing
       — are exactly a one-root {!create} monitor's. *)
   module Fused : sig
+    type program
+    (** A plan compiled for incremental robust execution: node kinds,
+        child references, slot-compiled leaves, window offsets, ring
+        sizing facts and the boolean program of its warm-up triggers
+        and masks.  Immutable, so monitors on different domains share
+        one. *)
+
     type t
+    (** One stream's monitor: a handful of flat arrays over a
+        {!program}. *)
+
+    val compile : ?shared:bool_shared -> Plan.t -> program
+    (** As {!Online.Fused.compile}. *)
+
+    val instantiate : ?shared:bool_shared -> program -> t
+    (** A fresh monitor; [?shared] as {!Online.Fused.instantiate}. *)
 
     val create : ?shared:bool_shared -> Plan.t -> t
-    (** [?shared] must cover every signal of every rule in the plan. *)
+    (** [instantiate ?shared (compile ?shared plan)]; [?shared] must
+        cover every signal of every rule in the plan. *)
+
+    val instance_bytes : program -> period:float -> int
+    (** Bytes of one monitor's own state (the program and the signal
+        slots are shared and not counted) once it has sized its rings
+        for a stream whose ticks are [period] seconds apart, as
+        {!Online.Fused.instance_bytes}.  A monitor holds more only if
+        its stream is denser than that, if the plan has state machines
+        or unbounded windows, or after {!finalize_iter} (which resolves
+        every pending tick at once). *)
 
     val rule_count : t -> int
 

@@ -128,34 +128,52 @@ let test_expression_leaves_allocate_nothing () =
   in
   check_zero_alloc "expression leaves" monitors snaps
 
-(* A boolean monitor's own state (its program and the signal slots are
-   shared, so not counted) after stepping [snaps], checked against the
-   figure the executor reports for a 10 ms stream. *)
-let own_bytes_within_reported specs snaps =
+(* A monitor's own state (its program and the signal slots are shared,
+   so not counted) after stepping, checked against the figure its
+   executor reports for a 10 ms stream.  A 4-word triple reaches exactly
+   the shared part: the program, the signal slots and the static empty
+   array a machine-free monitor's machine tables are. *)
+let own_bytes_within_reported ~what ~reported monitor program shared =
+  let total = Obj.reachable_words (Obj.repr monitor) in
+  let shared_words =
+    Obj.reachable_words (Obj.repr (program, shared, [||])) - 4
+  in
+  let own = 8 * (total - shared_words) in
+  if own > reported then
+    Alcotest.failf "%s instance holds %d bytes, reported bound %d" what own
+      reported;
+  own
+
+let boolean_own_bytes specs snaps =
   let plan = Plan.compile specs in
   let shared = Online.shared_for specs in
   let program = Online.Fused.compile ~shared plan in
   let monitor = Online.Fused.instantiate ~shared program in
   Array.iter (fun snap -> Online.Fused.step_iter monitor snap (fun _ _ _ _ -> ())) snaps;
-  let total = Obj.reachable_words (Obj.repr monitor) in
-  (* A 4-word triple reaches exactly the shared part: the program, the
-     signal slots and the static empty array a machine-free monitor's
-     machine tables are. *)
-  let shared_words =
-    Obj.reachable_words (Obj.repr (program, shared, [||])) - 4
-  in
-  let own = 8 * (total - shared_words) in
-  let reported = Online.Fused.instance_bytes program ~period:0.01 in
-  if own > reported then
-    Alcotest.failf "instance holds %d bytes, reported bound %d" own reported;
-  own
+  own_bytes_within_reported ~what:"boolean"
+    ~reported:(Online.Fused.instance_bytes program ~period:0.01)
+    monitor program shared
+
+let robust_own_bytes specs snaps =
+  let plan = Plan.compile specs in
+  let shared = Online.shared_for specs in
+  let program = Robust.Online.Fused.compile ~shared plan in
+  let monitor = Robust.Online.Fused.instantiate ~shared program in
+  Array.iter
+    (fun snap -> Robust.Online.Fused.step_iter monitor snap (fun _ _ _ _ _ -> ()))
+    snaps;
+  own_bytes_within_reported ~what:"robust"
+    ~reported:(Robust.Online.Fused.instance_bytes program ~period:0.01)
+    monitor program shared
 
 (* The instance bound: after 20 s of a simulated road drive on the
-   fleet's stale-guarded paper plan, a boolean monitor's own state is no
-   larger than the figure the executor reports for a 10 ms stream, and
-   within 10 KB.  A 50 s window holds more ticks than a ring is
-   pre-sized to: its ring grows, and the reported figure counts the
-   grown ring. *)
+   fleet's stale-guarded paper plan, a monitor's own state is no larger
+   than the figure its executor reports for a 10 ms stream, and within
+   10 KB (boolean) and 32 KB (robust: rule1's 5 s window keeps 5 s of
+   two bounds for its child and for its antecedent, 16 KB, and wedges
+   and tick times for 5 s, 8 KB).  A 50 s window holds more ticks than
+   a ring is pre-sized to: its rings grow, and the reported figure
+   counts the grown rings. *)
 let test_instance_within_reported_bound () =
   let result =
     Monitor_hil.Sim.run
@@ -168,16 +186,23 @@ let test_instance_within_reported_bound () =
   in
   Alcotest.(check bool) "the drive lasts 20 s" true (Array.length snaps >= 2000);
   let wrapped = List.map (fun s -> Spec.stale_guarded s) Monitor_oracle.Rules.all in
-  let own = own_bytes_within_reported wrapped snaps in
-  if own > 10 * 1024 then Alcotest.failf "instance holds %d bytes > 10 KB" own;
+  let own = boolean_own_bytes wrapped snaps in
+  if own > 10 * 1024 then Alcotest.failf "boolean instance holds %d bytes > 10 KB" own;
+  let own = robust_own_bytes wrapped snaps in
+  if own > 32 * 1024 then Alcotest.failf "robust instance holds %d bytes > 32 KB" own;
   let long =
     Spec.make ~name:"long"
       (Parser.formula_of_string_exn "historically[0.0, 50.0] (Velocity > 0.0)")
   in
-  let own = own_bytes_within_reported [ long ] (synthetic_snapshots 6000) in
+  let long_snaps = synthetic_snapshots 6000 in
+  let own = boolean_own_bytes [ long ] long_snaps in
   (* 5,002 ticks of times at 8 bytes each: the rings have grown. *)
   if own < 8 * 5002 then
-    Alcotest.failf "a 50 s window at 10 ms holds only %d bytes" own
+    Alcotest.failf "a 50 s window at 10 ms holds only %d bytes" own;
+  let own = robust_own_bytes [ long ] long_snaps in
+  (* And 5,002 child entries of two bounds. *)
+  if own < 8 * 5002 * 3 then
+    Alcotest.failf "a robust 50 s window at 10 ms holds only %d bytes" own
 
 let suite =
   [ ( "online allocation",
