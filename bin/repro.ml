@@ -103,8 +103,8 @@ let fsracc_lint_env () =
 (* /plan payload: the fused evaluation plan of the built-in rule set as
    written.  Campaigns run it as is; the fleet wraps each rule in a stale
    guard, so a fleet session's state is larger than the [session_bytes]
-   reported here (README, "Bytes per session").  Pure, so computed once
-   on first scrape. *)
+   and [session_bytes_robust] reported here (README, "Bytes per
+   session").  Pure, so computed once on first scrape. *)
 let builtin_plan_json =
   lazy
     (let module P = Monitor_analysis.Specplan in

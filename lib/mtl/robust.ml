@@ -1129,9 +1129,20 @@ module Online = struct
       advance_node r false (Array.unsafe_get exec i)
     done
 
+  (* The end of the log resolves every pending tick at once: lay every
+     ring out once with room for all of them, instead of doubling rings
+     one after another as they fill. *)
   let finish ~who r =
     OI.core_finalize ~who r.core;
     retire_hubs r;
+    let next = OI.core_ticks r.core and ints = r.ints and p = r.prog in
+    relayout r
+      (Array.mapi
+         (fun k s ->
+           max
+             (lay_mask ints.(s + i_lay) + 1)
+             (OI.pow2_at_least (next - ints.(p.bases.(k)) + 1)))
+         p.slots);
     let exec = r.prog.exec in
     for i = 0 to Array.length exec - 1 do
       advance_node r true (Array.unsafe_get exec i)
