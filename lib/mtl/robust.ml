@@ -722,6 +722,10 @@ module Online = struct
   let i_hh = 6  (* upper-bound wedge: head, then tail *)
   let i_wlay = 8
   let window_ints = 9
+
+  (* The boolean executor's ring-layout packing (offset [lsl 32]
+     capacity mask), repeated here because calls into another module are
+     not inlined and these run on every entry read and write. *)
   let lay_off lay = lay lsr 32
   let lay_mask lay = lay land 0xFFFF_FFFF
   let lay_make ~off ~mask = (off lsl 32) lor mask
